@@ -26,6 +26,7 @@ from .endo import PolyEndo
 from .errors import (
     ArityMismatch,
     CheckFailed,
+    ExponentOverflow,
     HypothesisViolation,
     KernelViolation,
     NonUnit,
@@ -46,6 +47,7 @@ __all__ = [
     "ArityMismatch",
     "CheckFailed",
     "ConjugationCertificate",
+    "ExponentOverflow",
     "FamilyInstance",
     "HypothesisViolation",
     "KernelViolation",

@@ -1,33 +1,164 @@
-"""Select the term-kernel backend.
+"""The term kernel: sparse arithmetic on packed exponents and integer numerators.
 
-The compiled Cython module is preferred when it imported cleanly; setting
-the environment variable ``POLYDEGEN_PURE=1`` forces the pure Python kernel,
-which is handy for benchmarking and for debugging coefficient arithmetic.
+A polynomial's terms live in a :class:`Terms` dict.  Each key is one int
+that packs a whole exponent vector, as in Monagan and Pearce, "Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors" (CASC
+2007): for arity n the variable exponents e1..en sit in n slots of
+``SLOT_BITS`` bits each, x1 highest, and the exponent of t sits above them
+in a signed top slot,
+
+    key = et * 2**(n*SLOT_BITS) + e1 * 2**((n-1)*SLOT_BITS) + ... + en.
+
+Python ints are unbounded, so et may be any integer; the low n slots are
+always nonnegative.  Adding two keys multiplies the monomials.  The top bit
+of each variable slot is a guard bit: a valid exponent is at most
+``MAX_EXPONENT``, so a sum of two never carries into the next slot, and a
+set guard bit in a product key is exactly an exponent overflow.
+
+The values are integer numerators over one positive denominator ``den``
+shared by every term, the content form of FLINT's ``fmpq_poly``.  The form
+is canonical -- ``den > 0``, no zero numerators, and
+``gcd(den, all numerators) == 1`` -- so equal polynomials have equal
+``Terms``.  The five operations take canonical operands, which lets them
+find the common factor of a result from the operands' denominators, and
+return canonical results; each returns a fresh container and never mutates
+its arguments.
 """
 
 from __future__ import annotations
 
-import os
+from math import gcd
 
-from . import _kernels_py
+from .errors import ExponentOverflow
 
-if os.environ.get("POLYDEGEN_PURE") == "1":
-    _impl = _kernels_py
-else:
-    try:
-        from . import _kernels as _impl  # type: ignore[no-redef]
-    except ImportError:
-        _impl = _kernels_py
+BACKEND = "pure"
 
-BACKEND: str = _impl.BACKEND
-
-add_terms = _impl.add_terms
-sub_terms = _impl.sub_terms
-neg_terms = _impl.neg_terms
-scale_terms = _impl.scale_terms
-mul_terms = _impl.mul_terms
+SLOT_BITS = 32
+SLOT_MASK = (1 << SLOT_BITS) - 1
+MAX_EXPONENT = (1 << (SLOT_BITS - 1)) - 1
 
 
 def kernel_backend() -> str:
-    """Name of the active term-kernel backend: "compiled" or "pure"."""
+    """Name of the term kernel; there is one, written in pure Python."""
     return BACKEND
+
+
+class Terms(dict):
+    """Packed key -> nonzero int numerator, over the shared denominator ``den``.
+
+    Build one with :func:`make`, which sets ``den``.
+    """
+
+    __slots__ = ("den",)
+
+
+def make(acc: dict, den: int = 1) -> Terms:
+    """Terms holding ``acc``, already canonical over ``den``."""
+    out = Terms(acc)
+    out.den = den
+    return out
+
+
+def canonical(acc: dict, den: int, bound: int | None = None) -> Terms:
+    """Terms holding the values ``acc[k] / den`` in canonical form (den > 0).
+
+    ``bound`` is a divisor of ``den`` known to be a multiple of
+    ``gcd(den, numerators)``; it defaults to ``den``.  A smaller bound makes
+    the gcd cheap when the numerators are large.
+    """
+    if 0 in acc.values():
+        acc = {key: c for key, c in acc.items() if c}
+    if not acc:
+        return make(acc)
+    if bound is None:
+        bound = den
+    if bound != 1:
+        g = gcd(bound, *acc.values())
+        if g != 1:
+            return make({key: c // g for key, c in acc.items()}, den // g)
+    return make(acc, den)
+
+
+def guard_mask(arity: int) -> int:
+    """The guard bits of the arity's variable slots."""
+    top = 1 << (SLOT_BITS - 1)
+    mask = 0
+    for _ in range(arity):
+        mask = (mask << SLOT_BITS) | top
+    return mask
+
+
+def add_terms(a: Terms, b: Terms) -> Terms:
+    return _combine(a, b, 1)
+
+
+def sub_terms(a: Terms, b: Terms) -> Terms:
+    return _combine(a, b, -1)
+
+
+def _combine(a: Terms, b: Terms, sign: int) -> Terms:
+    # a/da + b/db over lcm(da, db).  As for fractions (Knuth, TAOCP 4.5.1),
+    # a prime that divides the new denominator and every new numerator must
+    # divide g = gcd(da, db), because canonical a and b have no such prime of
+    # their own; so the reducing gcd is taken against g.
+    da, db = a.den, b.den
+    g = gcd(da, db)
+    sa = db // g
+    sb = sign * (da // g)
+    den = da * sa
+    acc = dict(a) if sa == 1 else {key: c * sa for key, c in a.items()}
+    get = acc.get
+    if sb == 1:
+        for key, c in b.items():
+            acc[key] = get(key, 0) + c
+    else:
+        for key, c in b.items():
+            acc[key] = get(key, 0) + c * sb
+    return canonical(acc, den, g)
+
+
+def neg_terms(a: Terms) -> Terms:
+    return make({key: -c for key, c in a.items()}, a.den)
+
+
+def scale_terms(a: Terms, c) -> Terms:
+    """a * c for a rational c (an int or a Fraction)."""
+    if not c or not a:
+        return make({})
+    num, den = c.numerator, c.denominator
+    # any common factor divides gcd(a.den, num) * den
+    return canonical({key: v * num for key, v in a.items()}, a.den * den, gcd(a.den, num) * den)
+
+
+def mul_terms(a: Terms, b: Terms, guard: int) -> Terms:
+    """a * b; raises ExponentOverflow when a product key sets a bit of ``guard``."""
+    if len(a) > len(b):
+        a, b = b, a
+    if not a:
+        return make({})
+    if len(a) == 1:
+        # a monomial times b: distinct keys of b stay distinct, nothing cancels
+        [(ka, ca)] = a.items()
+        acc = {ka + kb: ca * cb for kb, cb in b.items()}
+    else:
+        acc = {}
+        get = acc.get
+        b_items = list(b.items())
+        for ka, ca in a.items():
+            for kb, cb in b_items:
+                key = ka + kb
+                acc[key] = get(key, 0) + ca * cb
+        if 0 in acc.values():
+            acc = {key: c for key, c in acc.items() if c}
+    if any(map(guard.__and__, acc)):
+        raise ExponentOverflow(f"a product has a variable exponent above {MAX_EXPONENT}")
+    # Gauss's lemma: the content of a product is the product of the contents,
+    # and canonical a, b have gcd(da, content a) = gcd(db, content b) = 1, so
+    # the common factor of the product is gcd(da, content b) * gcd(db, content a).
+    da, db = a.den, b.den
+    den = da * db
+    if den != 1:
+        g = (gcd(da, *b.values()) if da != 1 else 1) * (gcd(db, *a.values()) if db != 1 else 1)
+        if g != 1:
+            return make({key: c // g for key, c in acc.items()}, den // g)
+    return make(acc, den)

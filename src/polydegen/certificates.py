@@ -115,7 +115,7 @@ def _in_principal_ideal(poly: MultiPoly, gen: MultiPoly) -> bool:
     for key, c in poly.terms():
         e2 = key[1]
         flat = (key[0], 0) + key[2:]
-        slices[e2] = slices.get(e2, MultiPoly.zero(n)) + MultiPoly._raw(n, {flat: c})
+        slices[e2] = slices.get(e2, MultiPoly.zero(n)) + MultiPoly(n, {flat: c})
     return all(part.exact_divide(gen) is not None for part in slices.values())
 
 

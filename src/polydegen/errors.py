@@ -39,3 +39,7 @@ class CheckFailed(PolydegenError, RuntimeError):
 
 class ParseError(PolydegenError, ValueError):
     """Malformed polynomial, rational, or document text."""
+
+
+class ExponentOverflow(PolydegenError, OverflowError):
+    """A variable exponent is too large for the packed term representation."""

@@ -1,10 +1,15 @@
 """Sparse multivariate polynomials over Q[t,t^-1].
 
 A :class:`MultiPoly` of arity n lives in Q[t,t^-1][x1,...,xn].  Terms are
-stored flat: the key is a tuple (e1,...,en,et) where the first n entries are
-the (nonnegative) variable exponents and the last entry is the exponent of
-t, which may be negative.  Folding t into the key keeps multiplication a
-single merge loop, which is what the compiled kernel accelerates.
+stored flat in a :class:`~polydegen._kernel.Terms` container: each key is one
+int packing the (nonnegative) variable exponents e1..en together with the
+exponent of t, which may be negative, and each value is an integer numerator
+over a denominator shared by the whole polynomial.  Folding t into the key
+keeps multiplication a single merge loop of int additions and int products;
+see :mod:`polydegen._kernel` for the layout.  The public accessors
+(:meth:`MultiPoly.terms`, :meth:`MultiPoly.coefficient`,
+:meth:`MultiPoly.laurent_terms`) decode keys to exponent tuples and values to
+``Fraction`` or :class:`LaurentPoly`.
 
 Variables are numbered from 1, matching the text form x1, x2, ...  The
 monomial order used for rendering and for division is graded lexicographic
@@ -14,13 +19,19 @@ with x1 > x2 > ... > xn, higher total degree first.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
+from math import lcm
 from typing import Iterator, Mapping, Sequence, Union
 
 from . import _kernel as K
-from .errors import ArityMismatch, NonUnit, PoleAtZero, ZeroPolynomial
-from .laurent import LaurentPoly, RingMode, format_rational
+from .errors import ArityMismatch, ExponentOverflow, NonUnit, PoleAtZero, ZeroPolynomial
+from .laurent import LaurentPoly, RingMode, _make as _laurent_make, format_rational
 
 PolyLike = Union[int, Fraction, LaurentPoly, "MultiPoly"]
+
+_W = K.SLOT_BITS
+_SLOT = K.SLOT_MASK
+_guard = lru_cache(maxsize=None)(K.guard_mask)
 
 
 class MultiPoly:
@@ -40,7 +51,7 @@ class MultiPoly:
     def __init__(self, arity: int, terms: Mapping[tuple, int | Fraction] | None = None):
         if arity < 1:
             raise ValueError("arity must be at least 1")
-        clean: dict[tuple, Fraction] = {}
+        acc: dict[int, Fraction] = {}
         if terms:
             for key, coeff in terms.items():
                 key = tuple(int(e) for e in key)
@@ -50,30 +61,30 @@ class MultiPoly:
                     )
                 if any(e < 0 for e in key[:arity]):
                     raise ValueError(f"negative variable exponent in {key}")
-                c = Fraction(coeff)
-                if c:
-                    clean[key] = clean.get(key, _ZERO) + c
-                    if not clean[key]:
-                        del clean[key]
+                _check_bound(key[:arity])
+                packed = _pack(key[:arity], key[arity])
+                acc[packed] = acc.get(packed, _ZERO) + Fraction(coeff)
         object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "_terms", clean)
+        object.__setattr__(self, "_terms", _from_fractions(acc))
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
 
     @staticmethod
-    def _raw(arity: int, terms: dict[tuple, Fraction]) -> MultiPoly:
+    def _raw(arity: int, terms: K.Terms) -> MultiPoly:
         # internal fast path: terms already canonical
-        out = MultiPoly.__new__(MultiPoly)
-        object.__setattr__(out, "arity", arity)
-        object.__setattr__(out, "_terms", terms)
+        out = _new_object(MultiPoly)
+        _set_arity(out, arity)
+        _set_terms(out, terms)
         return out
 
     # ------------------------------------------------------------ constructors
 
     @classmethod
     def zero(cls, arity: int) -> MultiPoly:
-        return cls(arity)
+        if arity < 1:
+            raise ValueError("arity must be at least 1")
+        return cls._raw(arity, K.make({}))
 
     @classmethod
     def one(cls, arity: int) -> MultiPoly:
@@ -87,25 +98,24 @@ class MultiPoly:
         (t^-1 + 3*t^2)
         """
         if isinstance(value, LaurentPoly):
-            zeros = (0,) * arity
-            return cls._raw(arity, {zeros + (e,): c for e, c in value.items()})
+            shift = arity * _W
+            return cls._raw(arity, _from_fractions({e << shift: c for e, c in value.items()}))
         c = Fraction(value)
         if not c:
-            return cls(arity)
-        return cls._raw(arity, {(0,) * arity + (0,): c})
+            return cls.zero(arity)
+        return cls._raw(arity, K.make({0: c.numerator}, c.denominator))
 
     @classmethod
     def variable(cls, arity: int, index: int) -> MultiPoly:
         """The variable x_index, with 1 <= index <= arity."""
         if not 1 <= index <= arity:
             raise ArityMismatch(f"variable index {index} out of range for arity {arity}")
-        key = tuple(1 if i == index - 1 else 0 for i in range(arity)) + (0,)
-        return cls._raw(arity, {key: Fraction(1)})
+        return cls._raw(arity, K.make({1 << ((arity - index) * _W): 1}))
 
     @classmethod
     def parameter(cls, arity: int) -> MultiPoly:
         """The parameter t as a constant polynomial."""
-        return cls._raw(arity, {(0,) * arity + (1,): Fraction(1)})
+        return cls._raw(arity, K.make({1 << (arity * _W): 1}))
 
     @classmethod
     def monomial(
@@ -125,9 +135,10 @@ class MultiPoly:
         xs = tuple(int(p) for p in powers)
         if any(p < 0 for p in xs):
             raise ValueError("variable exponents must be nonnegative")
-        return cls._raw(
-            arity, {tuple(a + b for a, b in zip(key, xs + (0,))): c for key, c in base._terms.items()}
-        )
+        _check_bound(xs)
+        shift = _pack(xs)
+        terms = base._terms
+        return cls._raw(arity, K.make({key + shift: c for key, c in terms.items()}, terms.den))
 
     # ---------------------------------------------------------------- queries
 
@@ -141,10 +152,14 @@ class MultiPoly:
         other = self._coerce_eq(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.arity == other.arity and self._terms == other._terms
+        return (
+            self.arity == other.arity
+            and self._terms.den == other._terms.den
+            and self._terms == other._terms
+        )
 
     def __hash__(self) -> int:
-        return hash((self.arity, frozenset(self._terms.items())))
+        return hash((self.arity, self._terms.den, frozenset(self._terms.items())))
 
     def _coerce_eq(self, other):
         if isinstance(other, MultiPoly):
@@ -158,21 +173,24 @@ class MultiPoly:
 
     def terms(self) -> Iterator[tuple[tuple, Fraction]]:
         """Flat terms ((e1,...,en,et), coefficient), unordered."""
-        return iter(self._terms.items())
+        n, den = self.arity, self._terms.den
+        t_shift = n * _W
+        for key, c in self._terms.items():
+            yield _powers(key, n) + (key >> t_shift,), Fraction(c, den)
 
     def laurent_terms(self) -> list[tuple[tuple, LaurentPoly]]:
         """Terms grouped by variable monomial, graded-lex descending.
 
         Each entry is ((e1,...,en), coefficient in Q[t,t^-1]).
         """
-        grouped: dict[tuple, dict[int, Fraction]] = {}
-        n = self.arity
+        n, den = self.arity, self._terms.den
+        t_shift = n * _W
+        low_mask = (1 << t_shift) - 1
+        grouped: dict[int, dict[int, Fraction]] = {}
         for key, c in self._terms.items():
-            grouped.setdefault(key[:n], {})[key[n]] = c
-        ordered = sorted(grouped, key=lambda p: (sum(p), p), reverse=True)
-        from .laurent import _make as _laurent_make
-
-        return [(p, _laurent_make(grouped[p])) for p in ordered]
+            grouped.setdefault(key & low_mask, {})[key >> t_shift] = Fraction(c, den)
+        ordered = sorted(grouped, key=lambda low: (_degree(low), low), reverse=True)
+        return [(_powers(low, n), _laurent_make(grouped[low])) for low in ordered]
 
     def coefficient(self, powers: Sequence[int]) -> LaurentPoly:
         """The Q[t,t^-1] coefficient of x1^p1*...*xn^pn.
@@ -184,10 +202,19 @@ class MultiPoly:
         if len(powers) != self.arity:
             raise ArityMismatch(f"{len(powers)} powers for arity {self.arity}")
         xs = tuple(int(p) for p in powers)
-        out = {key[self.arity]: c for key, c in self._terms.items() if key[: self.arity] == xs}
-        from .laurent import _make as _laurent_make
-
-        return _laurent_make(out)
+        if any(not 0 <= p <= K.MAX_EXPONENT for p in xs):
+            return LaurentPoly.zero()
+        low = _pack(xs)
+        t_shift = self.arity * _W
+        low_mask = (1 << t_shift) - 1
+        den = self._terms.den
+        return _laurent_make(
+            {
+                key >> t_shift: Fraction(c, den)
+                for key, c in self._terms.items()
+                if key & low_mask == low
+            }
+        )
 
     def constant_laurent(self) -> LaurentPoly:
         """Coefficient of the empty monomial."""
@@ -195,8 +222,8 @@ class MultiPoly:
 
     def is_constant(self) -> bool:
         """True when no variable occurs (scalars in t are allowed)."""
-        n = self.arity
-        return all(not any(key[:n]) for key in self._terms)
+        low_mask = (1 << (self.arity * _W)) - 1
+        return not any(key & low_mask for key in self._terms)
 
     def as_laurent(self) -> LaurentPoly:
         if not self.is_constant():
@@ -209,29 +236,33 @@ class MultiPoly:
         >>> MultiPoly(2, {(2, 1, 0): 1, (0, 3, -1): 2}).degree_in(2)
         3
         """
-        if not 1 <= index <= self.arity:
-            raise ArityMismatch(f"variable index {index} out of range for arity {self.arity}")
+        shift = self._shift(index)
         if not self._terms:
             raise ZeroPolynomial("the zero polynomial has no degree")
-        return max(key[index - 1] for key in self._terms)
+        return max((key >> shift) & _SLOT for key in self._terms)
 
     def total_degree(self) -> int:
         """Total degree in the variables (t does not count)."""
         if not self._terms:
             raise ZeroPolynomial("the zero polynomial has no degree")
-        n = self.arity
-        return max(sum(key[:n]) for key in self._terms)
+        low_mask = (1 << (self.arity * _W)) - 1
+        return max(_degree(key & low_mask) for key in self._terms)
 
     def involves(self, index: int) -> bool:
         """True when x_index occurs in some term."""
-        if not 1 <= index <= self.arity:
-            raise ArityMismatch(f"variable index {index} out of range for arity {self.arity}")
-        return any(key[index - 1] for key in self._terms)
+        shift = self._shift(index)
+        return any((key >> shift) & _SLOT for key in self._terms)
 
     def is_t_regular(self) -> bool:
         """True when no negative power of t occurs anywhere."""
-        n = self.arity
-        return all(key[n] >= 0 for key in self._terms)
+        # the variable slots are nonnegative, so the sign of a key is that of et
+        return all(key >= 0 for key in self._terms)
+
+    def _shift(self, index: int) -> int:
+        """Bit offset of x_index's slot in a key."""
+        if not 1 <= index <= self.arity:
+            raise ArityMismatch(f"variable index {index} out of range for arity {self.arity}")
+        return (self.arity - index) * _W
 
     # ------------------------------------------------------------- arithmetic
 
@@ -267,12 +298,17 @@ class MultiPoly:
         return MultiPoly._raw(self.arity, K.sub_terms(other._terms, self._terms))
 
     def __mul__(self, other) -> MultiPoly:
-        if isinstance(other, (int, Fraction)):
-            return MultiPoly._raw(self.arity, K.scale_terms(self._terms, Fraction(other)))
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return MultiPoly._raw(self.arity, K.mul_terms(self._terms, other._terms))
+        if type(other) is not MultiPoly:
+            if isinstance(other, (int, Fraction)):
+                return MultiPoly._raw(self.arity, K.scale_terms(self._terms, other))
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        elif other.arity != self.arity:
+            raise ArityMismatch(f"arity {self.arity} vs {other.arity}")
+        return MultiPoly._raw(
+            self.arity, K.mul_terms(self._terms, other._terms, _guard(self.arity))
+        )
 
     __rmul__ = __mul__
 
@@ -311,15 +347,14 @@ class MultiPoly:
         >>> print(p.diff(1))
         2*x1*x2
         """
-        if not 1 <= index <= self.arity:
-            raise ArityMismatch(f"variable index {index} out of range for arity {self.arity}")
-        i = index - 1
-        out: dict[tuple, Fraction] = {}
+        shift = self._shift(index)
+        unit = 1 << shift
+        out: dict[int, int] = {}
         for key, c in self._terms.items():
-            e = key[i]
+            e = (key >> shift) & _SLOT
             if e:
-                out[key[:i] + (e - 1,) + key[i + 1 :]] = c * e
-        return MultiPoly._raw(self.arity, out)
+                out[key - unit] = c * e
+        return MultiPoly._raw(self.arity, K.canonical(out, self._terms.den))
 
     def substitute(self, images: Sequence[MultiPoly]) -> MultiPoly:
         """Evaluate at x_i = images[i-1]; t is carried along unchanged.
@@ -347,7 +382,7 @@ class MultiPoly:
                 raise ArityMismatch("images have mixed arities")
         if not self._terms:
             return MultiPoly.zero(m)
-        return _Substitution(self.arity, images, m).run(self._terms, 0)
+        return _Substitution(self.arity, images, m, self._terms.den).run(self._terms, 0)
 
     def exact_divide(self, divisor: MultiPoly) -> MultiPoly | None:
         """Exact quotient with coefficients in Q[t,t^-1], or None.
@@ -389,9 +424,10 @@ class MultiPoly:
         return quotient
 
     def _leading_laurent(self) -> tuple[tuple, LaurentPoly]:
-        n = self.arity
-        lead = max((key[:n] for key in self._terms), key=lambda p: (sum(p), p))
-        return lead, self.coefficient(lead)
+        low_mask = (1 << (self.arity * _W)) - 1
+        lead = max({key & low_mask for key in self._terms}, key=lambda low: (_degree(low), low))
+        powers = _powers(lead, self.arity)
+        return powers, self.coefficient(powers)
 
     def specialize_t(self, alpha: int | Fraction) -> MultiPoly:
         """Substitute a rational value for t.
@@ -405,26 +441,39 @@ class MultiPoly:
         """
         alpha = Fraction(alpha)
         n = self.arity
-        out: dict[tuple, Fraction] = {}
-        for key, c in self._terms.items():
-            e = key[n]
-            if alpha == 0:
-                if e < 0:
-                    raise PoleAtZero(
-                        f"coefficient of {_monomial_str(key[:n]) or '1'} has a pole at t = 0"
-                    )
-                if e > 0:
-                    continue
-                value = c
-            else:
-                value = c * alpha**e
-            flat = key[:n] + (0,)
-            s = out.get(flat, _ZERO) + value
-            if s:
-                out[flat] = s
-            else:
-                out.pop(flat, None)
-        return MultiPoly._raw(n, out)
+        t_shift = n * _W
+        low_mask = (1 << t_shift) - 1
+        terms = self._terms
+        out: dict[int, int] = {}
+        if alpha == 0:
+            for key, c in terms.items():
+                if key < 0:
+                    monomial = _monomial_str(_powers(key & low_mask, n))
+                    raise PoleAtZero(f"coefficient of {monomial or '1'} has a pole at t = 0")
+                if key <= low_mask:
+                    out[key] = c
+            return MultiPoly._raw(n, K.canonical(out, terms.den))
+        if not terms:
+            return self
+        # alpha^et = p^et / q^et; scale every term by p^-lo * q^hi, with lo and
+        # hi the extreme t exponents, so the sums stay integral, and put that
+        # factor back once at the end.
+        p, q = alpha.numerator, alpha.denominator
+        lo = min(terms) >> t_shift
+        hi = max(terms) >> t_shift
+        factors: dict[int, int] = {}
+        for key, c in terms.items():
+            et = key >> t_shift
+            f = factors.get(et)
+            if f is None:
+                f = factors[et] = p ** (et - lo) * q ** (hi - et)
+            low = key & low_mask
+            out[low] = out.get(low, 0) + c * f
+        back = Fraction(p) ** lo / Fraction(q) ** hi
+        scale = back.numerator
+        return MultiPoly._raw(
+            n, K.canonical({key: c * scale for key, c in out.items()}, terms.den * back.denominator)
+        )
 
     def extend_arity(self, arity: int) -> MultiPoly:
         """View this polynomial inside a ring with extra later variables."""
@@ -432,10 +481,11 @@ class MultiPoly:
             raise ArityMismatch(f"cannot shrink arity {self.arity} to {arity}")
         if arity == self.arity:
             return self
-        pad = (0,) * (arity - self.arity)
-        n = self.arity
+        # the new slots go below the old ones: a shift per key
+        shift = (arity - self.arity) * _W
+        terms = self._terms
         return MultiPoly._raw(
-            arity, {key[:n] + pad + (key[n],): c for key, c in self._terms.items()}
+            arity, K.make({key << shift: c for key, c in terms.items()}, terms.den)
         )
 
     # -------------------------------------------------------------- rendering
@@ -468,6 +518,11 @@ class MultiPoly:
         return f"MultiPoly({self.arity}, '{self}')"
 
 
+_new_object = object.__new__
+_set_arity = MultiPoly.arity.__set__
+_set_terms = MultiPoly._terms.__set__
+
+
 def _monomial_str(powers: tuple) -> str:
     pieces = []
     for i, e in enumerate(powers, start=1):
@@ -478,13 +533,52 @@ def _monomial_str(powers: tuple) -> str:
     return "*".join(pieces)
 
 
+# ------------------------------------------------------------- key layout
+
+
+def _check_bound(powers: Sequence[int]) -> None:
+    for e in powers:
+        if e > K.MAX_EXPONENT:
+            raise ExponentOverflow(f"variable exponent {e} is above {K.MAX_EXPONENT}")
+
+
+def _pack(powers: Sequence[int], t_exp: int = 0) -> int:
+    """The key of x1^e1*...*xn^en*t^et; exponents must be in range."""
+    key = t_exp
+    for e in powers:
+        key = (key << _W) | e
+    return key
+
+
+def _powers(key: int, n: int) -> tuple:
+    """The variable exponents (e1,...,en) of a key."""
+    return tuple((key >> (j * _W)) & _SLOT for j in range(n - 1, -1, -1))
+
+
+def _degree(low: int) -> int:
+    """Total degree of a key whose t slot is zero."""
+    total = 0
+    while low:
+        total += low & _SLOT
+        low >>= _W
+    return total
+
+
+def _from_fractions(values: dict[int, Fraction]) -> K.Terms:
+    """Canonical terms from packed key -> Fraction."""
+    values = {key: c for key, c in values.items() if c}
+    den = lcm(*(c.denominator for c in values.values()))
+    return K.make({key: c.numerator * (den // c.denominator) for key, c in values.items()}, den)
+
+
 class _Substitution:
     """One substitution pass; power tables are shared across all groups."""
 
-    def __init__(self, n: int, images: Sequence[MultiPoly], m: int):
+    def __init__(self, n: int, images: Sequence[MultiPoly], m: int, den: int):
         self.n = n
         self.images = images
         self.m = m
+        self.den = den
         self._tables: list[list[MultiPoly]] = [[MultiPoly.one(m), img] for img in images]
 
     def power(self, i: int, e: int) -> MultiPoly:
@@ -493,22 +587,23 @@ class _Substitution:
             table.append(table[-1] * self.images[i])
         return table[e]
 
-    def run(self, terms: dict[tuple, Fraction], i: int) -> MultiPoly:
+    def run(self, terms: dict[int, int], i: int) -> MultiPoly:
+        """Substitute into numerators over ``self.den`` whose x1..x_i are gone."""
         n = self.n
         if i == n:
-            out: dict[tuple, Fraction] = {}
-            zeros = (0,) * self.m
-            for key, c in terms.items():
-                flat = zeros + (key[n],)
-                s = out.get(flat, _ZERO) + c
-                if s:
-                    out[flat] = s
-                else:
-                    out.pop(flat, None)
-            return MultiPoly._raw(self.m, out)
-        groups: dict[int, dict[tuple, Fraction]] = {}
+            # only t is left: move its slot from above n variables to above m
+            if self.m >= n:
+                shift = (self.m - n) * _W
+                out = {key << shift: c for key, c in terms.items()}
+            else:
+                shift = (n - self.m) * _W
+                out = {key >> shift: c for key, c in terms.items()}
+            return MultiPoly._raw(self.m, K.canonical(out, self.den))
+        shift = (n - 1 - i) * _W
+        groups: dict[int, dict[int, int]] = {}
         for key, c in terms.items():
-            groups.setdefault(key[i], {})[key[:i] + (0,) + key[i + 1 :]] = c
+            e = (key >> shift) & _SLOT
+            groups.setdefault(e, {})[key - (e << shift)] = c
         total = MultiPoly.zero(self.m)
         for e in sorted(groups, reverse=True):
             part = self.run(groups[e], i + 1)

@@ -10,7 +10,11 @@ MultiPoly:
     expr       ::=  ('+'|'-')? term (('+'|'-') term)*
 
 Negative exponents are only accepted on unit bases (t, or a single-term
-scalar), since everything must stay inside Q[t,t^-1][x1,...,xn].
+scalar), since everything must stay inside Q[t,t^-1][x1,...,xn].  A power
+of an expression in the variables, and any variable exponent the input
+builds up, must stay at most ``MAX_EXPONENT`` (2^31 - 1), the largest the
+packed term kernel holds; beyond it the input is rejected with
+``ParseError``.
 """
 
 from __future__ import annotations
@@ -18,7 +22,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import ParseError
+from ._kernel import MAX_EXPONENT
+from .errors import ExponentOverflow, ParseError
 from .laurent import LaurentPoly, RingMode
 from .multipoly import MultiPoly
 
@@ -39,9 +44,17 @@ def parse_rational(text: str) -> Fraction:
     if not _RATIONAL_RE.match(text):
         raise ParseError(f"not a rational: {text!r}")
     try:
-        return Fraction(text)
+        return _digits(Fraction, text)
     except ZeroDivisionError:
         raise ParseError(f"zero denominator in {text!r}") from None
+
+
+def _digits(convert, text: str):
+    """convert(text), reporting a digit string too long to convert as a ParseError."""
+    try:
+        return convert(text)
+    except ValueError:
+        raise ParseError(f"number too long: {text[:20]}... ({len(text)} characters)") from None
 
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
@@ -88,17 +101,26 @@ class _Parser:
         if tok in (("op", "+"), ("op", "-")):
             self.take()
             sign = -1 if tok[1] == "-" else 1
-        result = self.term() * sign
+        # (sign, term) pairs, summed pairwise: a long sum of terms with
+        # distinct denominators then rescales each numerator O(log n) times,
+        # not O(n) times, and still takes one addition per term.
+        parts = [(1, self.term() * sign)]
         while True:
             tok = self.peek()
             if tok == ("op", "+"):
                 self.take()
-                result = result + self.term()
+                parts.append((1, self.term()))
             elif tok == ("op", "-"):
                 self.take()
-                result = result - self.term()
+                parts.append((-1, self.term()))
             else:
-                return result
+                break
+        while len(parts) > 1:
+            paired = [_signed_sum(a, b) for a, b in zip(parts[::2], parts[1::2])]
+            if len(parts) % 2:
+                paired.append(parts[-1])
+            parts = paired
+        return parts[0][1]
 
     def term(self) -> MultiPoly:
         result = self.factor()
@@ -119,7 +141,9 @@ class _Parser:
         kind, text = self.take()
         if kind != "number" or "/" in text:
             raise ParseError(f"exponent must be an integer, found {text!r}")
-        exponent = sign * int(text)
+        exponent = sign * _digits(int, text)
+        if exponent > MAX_EXPONENT and not base.is_constant():
+            raise ParseError(f"exponent {exponent} is above the bound {MAX_EXPONENT}")
         if exponent >= 0:
             return base**exponent
         if base.is_constant() and base.as_laurent().is_unit(RingMode.LAURENT):
@@ -129,11 +153,11 @@ class _Parser:
     def atom(self) -> MultiPoly:
         kind, text = self.take()
         if kind == "number":
-            return MultiPoly.constant(self.arity, Fraction(text))
+            return MultiPoly.constant(self.arity, _digits(Fraction, text))
         if kind == "t":
             return MultiPoly.parameter(self.arity)
         if kind == "var":
-            index = int(text[1:])
+            index = _digits(int, text[1:])
             if not 1 <= index <= self.arity:
                 raise ParseError(f"variable {text} out of range for arity {self.arity}")
             return MultiPoly.variable(self.arity, index)
@@ -142,6 +166,14 @@ class _Parser:
             self.expect_op(")")
             return inner
         raise ParseError(f"unexpected token {text!r}")
+
+
+def _signed_sum(a: tuple[int, MultiPoly], b: tuple[int, MultiPoly]) -> tuple[int, MultiPoly]:
+    """sa*pa + sb*pb as a (sign, poly) pair, with one addition or subtraction."""
+    (sa, pa), (sb, pb) = a, b
+    if sa == sb:
+        return sa, pa + pb
+    return (1, pa - pb) if sa == 1 else (1, pb - pa)
 
 
 def parse_poly(text: str, arity: int | None = None) -> MultiPoly:
@@ -158,9 +190,12 @@ def parse_poly(text: str, arity: int | None = None) -> MultiPoly:
         arity = 1
         for kind, tok in tokens:
             if kind == "var":
-                arity = max(arity, int(tok[1:]))
+                arity = max(arity, _digits(int, tok[1:]))
     parser = _Parser(tokens, arity)
-    result = parser.expr()
+    try:
+        result = parser.expr()
+    except ExponentOverflow as exc:
+        raise ParseError(str(exc)) from None
     if parser.peek() is not None:
         raise ParseError(f"trailing input from token {parser.peek()[1]!r}")
     return result

@@ -111,3 +111,63 @@ def divide_by_linear_system(dividend, divisor):
             coeff = LaurentPoly.t_power(key[-1], value)
             quotient = quotient + MultiPoly.monomial(arity, key[:-1], coeff)
     return quotient
+
+
+# ------------------------------------------------------------ term kernel
+#
+# A naive reference for polydegen._kernel: terms are dicts from exponent
+# tuples (e1,...,en,et) to nonzero Fractions, and every operation is the
+# schoolbook one.  The packed layout is decoded here with integer division,
+# independently of the bit operations the kernel uses.
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for key, c in b.items():
+        out[key] = out.get(key, Fraction(0)) + c
+    return {key: c for key, c in out.items() if c}
+
+
+def ref_neg(a):
+    return {key: -c for key, c in a.items()}
+
+
+def ref_sub(a, b):
+    return ref_add(a, ref_neg(b))
+
+
+def ref_scale(a, c):
+    return {key: v * c for key, v in a.items() if v * c}
+
+
+def ref_mul(a, b):
+    out = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            key = tuple(x + y for x, y in zip(ka, kb))
+            out[key] = out.get(key, Fraction(0)) + ca * cb
+    return {key: c for key, c in out.items() if c}
+
+
+def ref_pack(key, slot_bits):
+    """The packed int of (e1,...,en,et): et above n slots, x1 highest."""
+    *powers, t_exp = key
+    packed = t_exp
+    for e in powers:
+        packed = packed * 2**slot_bits + e
+    return packed
+
+
+def ref_unpack(packed, arity, slot_bits):
+    powers = []
+    for _ in range(arity):
+        packed, e = divmod(packed, 2**slot_bits)
+        powers.append(e)
+    return tuple(reversed(powers)) + (packed,)
+
+
+def ref_decode(terms, arity, slot_bits):
+    """Packed terms with a shared denominator as a reference dict."""
+    return {
+        ref_unpack(key, arity, slot_bits): Fraction(num, terms.den) for key, num in terms.items()
+    }

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -153,6 +154,26 @@ def test_verify_parse_problems_exit_two(tmp_path, capsys):
     del doc["transcript"]
     no_transcript.write_text(json.dumps(doc))
     assert run(["verify", "--in", str(no_transcript)], capsys)[0] == 2
+
+
+def test_verify_rejects_an_exponent_beyond_the_bound(tmp_path, capsys):
+    doc = json.loads(run(["family", "--l", "1"], capsys)[1])
+    doc["h"] = "x1^99999999999"
+    bad = tmp_path / "huge_exponent.json"
+    bad.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, _, err = run(["verify", "--in", str(bad)], capsys)
+    assert code == 2
+    assert time.perf_counter() - start < 1.0
+    assert "above the bound" in err and "Traceback" not in err
+
+
+def test_exponent_overflow_in_a_computation_exits_one(capsys):
+    # delta needs x2^l, and the powering overflows the x2 slot at once
+    code, stdout, err = run(["family", "--l", "3000000000"], capsys)
+    assert code == 1
+    assert stdout == ""
+    assert "exponent above" in err and "Traceback" not in err
 
 
 def test_usage_errors_exit_two(capsys):

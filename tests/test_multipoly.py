@@ -8,7 +8,16 @@ import pytest
 from conftest import rand_poly, rand_poly_nonzero
 from oracles import divide_by_linear_system
 from polydegen import parse_poly
-from polydegen.errors import ArityMismatch, NonUnit, PoleAtZero, ZeroPolynomial
+from polydegen._kernel import MAX_EXPONENT
+from polydegen.errors import (
+    ArityMismatch,
+    ExponentOverflow,
+    NonUnit,
+    ParseError,
+    PoleAtZero,
+    PolydegenError,
+    ZeroPolynomial,
+)
 from polydegen.laurent import LaurentPoly
 from polydegen.multipoly import MultiPoly
 
@@ -208,3 +217,39 @@ def test_equality_is_structural():
     assert hash(a) == hash(b)
     assert a != P("x1")
     assert P("5", arity=2) != P("5", arity=3)
+
+
+def test_exponent_bound_is_checked_on_input():
+    top = MultiPoly.monomial(3, (MAX_EXPONENT, 0, 0))
+    assert top.degree_in(1) == MAX_EXPONENT
+    with pytest.raises(ExponentOverflow):
+        MultiPoly.monomial(3, (MAX_EXPONENT + 1, 0, 0))
+    with pytest.raises(ExponentOverflow):
+        MultiPoly(3, {(0, MAX_EXPONENT + 1, 0, 0): 1})
+    # t has no bound: its slot is the unbounded top of the key
+    far = MultiPoly(3, {(0, 0, 0, -(10**40)): 1, (1, 0, 0, 10**40): 2})
+    assert dict(far.terms()) == {(0, 0, 0, -(10**40)): 1, (1, 0, 0, 10**40): 2}
+    assert not far.is_t_regular()
+
+
+def test_product_overflow_raises_instead_of_carrying():
+    top = MultiPoly.monomial(3, (0, MAX_EXPONENT, 0))
+    x2 = MultiPoly.variable(3, 2)
+    with pytest.raises(ExponentOverflow) as exc:
+        top * (x2 + 1)
+    assert isinstance(exc.value, PolydegenError)
+    # at the bound in every slot, with t on top, nothing carries
+    full = top * MultiPoly.monomial(3, (MAX_EXPONENT, 0, MAX_EXPONENT), LaurentPoly.t_power(-3))
+    assert dict(full.terms()) == {(MAX_EXPONENT, MAX_EXPONENT, MAX_EXPONENT, -3): 1}
+    with pytest.raises(ExponentOverflow):
+        full * MultiPoly.variable(3, 3)
+
+
+def test_parse_rejects_exponents_beyond_the_bound():
+    with pytest.raises(ParseError, match="above the bound"):
+        P("x1^99999999999")
+    with pytest.raises(ParseError, match="above the bound"):
+        P("(x1 + t)^3000000000")
+    with pytest.raises(ParseError):
+        P(f"x2^{MAX_EXPONENT // 2}*x2^{MAX_EXPONENT // 2}*x2^2")
+    assert P("t^99999999999") == MultiPoly.parameter(3) ** 99999999999

@@ -74,3 +74,13 @@ def test_parse_laurent_rejects_variables():
 
 def test_whitespace_is_flexible():
     assert parse_poly("x1+x2", arity=2) == parse_poly(" x1  +  x2 ", arity=2)
+
+
+def test_overlong_digit_strings_are_parse_errors():
+    # longer than Python converts from text by default (4300 digits)
+    digits = "9" * 5000
+    for text in (f"x1^{digits}", f"{digits}*x1", f"x{digits}", f"1/{digits}"):
+        with pytest.raises(ParseError, match="number too long"):
+            parse_poly(text)
+    with pytest.raises(ParseError, match="number too long"):
+        parse_rational(digits)
