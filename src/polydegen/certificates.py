@@ -276,6 +276,30 @@ class StabilizationCertificate:
         return (gamma_inv, rho_inv, self.gamma, self.rho)
 
 
+def compose_commutator(
+    gamma_inv: PolyEndo, rho_inv: PolyEndo, gamma: PolyEndo, rho: PolyEndo
+) -> PolyEndo:
+    """gamma_inv o rho_inv o gamma o rho, grouped as gamma_inv o ((rho_inv o gamma) o rho).
+
+    Exact: composition of maps is associative and :meth:`PolyEndo.compose`
+    is exact, so every grouping yields the images of the literal four-factor
+    word; only the intermediates differ.
+
+    Small: rho_inv = exp(-x_m*delta) fixes x_m, which delta kills, and h,
+    since delta(h) = 0.  So rho_inv o gamma is rho_inv with its last image
+    shifted to x_m + h.  Substituting it into rho's images gives
+    rho_inv o gamma o rho, the conjugate of the shift gamma, and when the
+    certified identity holds that is gamma o extension: the extension's
+    first n images, which do not involve x_m, followed by x_m + h.  The one
+    large substitution thus lands on a result the size of the answer, and
+    the last step only sends x_m to x_m - h in it.  Folding from either end
+    instead starts from gamma o rho or gamma_inv o rho_inv, which expand
+    powers of x_m + h or x_m - h through the exponential series and swell
+    far beyond the answer.
+    """
+    return gamma_inv.compose(rho_inv.compose(gamma).compose(rho))
+
+
 def build_stabilization(delta: TriangularDerivation, h: MultiPoly) -> StabilizationCertificate:
     """Build and verify the commutator word one variable up.
 
@@ -308,7 +332,7 @@ def build_stabilization(delta: TriangularDerivation, h: MultiPoly) -> Stabilizat
         raise CheckFailed("gamma inverse check failed")
     if not rho.verify_inverse_pair(rho_inv):
         raise CheckFailed("rho inverse check failed")
-    word = PolyEndo.compose_chain((gamma_inv, rho_inv, gamma, rho))
+    word = compose_commutator(gamma_inv, rho_inv, gamma, rho)
     if word != extension:
         raise CheckFailed("the four-factor word does not compose to the extension")
     return cert

@@ -26,6 +26,7 @@ from .certificates import (
     WILD,
     WildnessReport,
     check_wild_at_zero,
+    compose_commutator,
     factor_kind,
     _TAME_KINDS,
 )
@@ -608,9 +609,7 @@ def _verify_stabilization(doc: dict) -> list[Check]:
         return gamma_inv, rho_inv
 
     pieces = _Lazy(pieces_lazy)
-    word = _Lazy(
-        lambda: PolyEndo.compose_chain((pieces()[0], pieces()[1], gamma(), rho()))
-    )
+    word = _Lazy(lambda: compose_commutator(pieces()[0], pieces()[1], gamma(), rho()))
 
     tr.run("derivation kills h", lambda: delta().apply(h).is_zero())
     tr.run("base is exp(h*delta)", lambda: base() == delta().exp(h))

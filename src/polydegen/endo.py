@@ -78,15 +78,18 @@ class PolyEndo:
     def compose_chain(factors: Sequence[PolyEndo]) -> PolyEndo:
         """Compose factors left to right as maps: factors[0] o ... o factors[-1].
 
-        Folds from the right, which keeps intermediates small when the
-        outer factors have large images: each step substitutes the next
-        factor's images into the accumulated ones, never the reverse.
+        Folds from the left: each step substitutes the accumulated map's
+        images into the next factor's images.  Composition is associative
+        and exact, so every grouping gives the same map; this one keeps a
+        conjugation tau o epsilon o tau_inv with an elementary epsilon cheap,
+        because tau o epsilon is tau with one image shifted, and the single
+        large substitution is the last one, into tau_inv.
         """
         if not factors:
             raise ArityMismatch("at least one factor is required")
-        result = factors[-1]
-        for factor in reversed(factors[:-1]):
-            result = factor.compose(result)
+        result = factors[0]
+        for factor in factors[1:]:
+            result = result.compose(factor)
         return result
 
     def is_identity(self) -> bool:

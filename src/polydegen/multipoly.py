@@ -328,15 +328,25 @@ class MultiPoly:
                 inv = self.as_laurent().unit_inverse(RingMode.LAURENT)
                 return MultiPoly.constant(self.arity, inv) ** (-exponent)
             raise NonUnit("negative powers need a unit base")
+        terms = self._terms
+        if len(terms) == 1:
+            # a monomial: scaling the key scales every exponent, t's included,
+            # and num^e over den^e stays in lowest terms
+            [(key, num)] = terms.items()
+            if max(_powers(key, self.arity)) * exponent > K.MAX_EXPONENT:
+                raise ExponentOverflow(f"a power has a variable exponent above {K.MAX_EXPONENT}")
+            power = K.make({key * exponent: num**exponent}, terms.den**exponent)
+            return MultiPoly._raw(self.arity, power)
         result = MultiPoly.one(self.arity)
         base = self
         n = exponent
-        while n:
+        while True:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     # ------------------------------------------------------------- operations
 

@@ -406,3 +406,20 @@ def test_criterion_10_cli_round_trip(tmp_path):
             )
 
     _run(10, "cli round trip", body)
+
+
+def test_criterion_11_smith_l3_round_trip(tmp_path):
+    def body(problems):
+        doc_path = tmp_path / "smith3.json"
+        report_path = tmp_path / "report.json"
+        code = main(["smith", "--l", "3", "--out", str(doc_path)])
+        _need(problems, code == 0, f"smith --l 3: exit {code}")
+        code = main(["verify", "--in", str(doc_path), "--format", "json", "--out", str(report_path)])
+        _need(problems, code == 0, f"verify of smith --l 3: exit {code}")
+        report = json.loads(report_path.read_text())
+        _need(problems, report["transcript_matches"], "transcript does not match")
+        _need(problems, len(report["checks"]) > 0, "no identity was checked")
+        failed = [c["identity"] for c in report["checks"] if not c["pass"]]
+        _need(problems, not failed, f"failed identities: {failed}")
+
+    _run(11, "smith stabilization at l = 3", body)

@@ -11,6 +11,7 @@ from polydegen.certificates import (
     build_conjugation,
     build_stabilization,
     check_wild_at_zero,
+    compose_commutator,
     factor_kind,
     length_bounds,
     specialized_tameness,
@@ -205,6 +206,29 @@ def test_stabilization_specializes(families):
     for alpha in (0, 1, -1):
         specialized = [f.specialize(alpha) for f in stab.factor_word()]
         assert PolyEndo.compose_chain(specialized) == stab.extension.specialize(alpha)
+
+
+@pytest.mark.parametrize("l", (1, 2))
+def test_every_grouping_of_the_certified_words_agrees(families, l):
+    # the constructors compose each word in one cheap grouping; the literal
+    # word is the same map under every bracketing.  (a o b) o (c o d) joins
+    # two swollen halves (about 25 s at l = 1 over Q[t, 1/t]), so that one is
+    # checked on the t = 0 fiber.
+    fam = families[l]
+    stab = build_stabilization(fam.delta, fam.h)
+    a, b, c, d = stab.factor_word()
+    for composite in (
+        a.compose(b).compose(c).compose(d),
+        a.compose(b.compose(c)).compose(d),
+        compose_commutator(a, b, c, d),
+        a.compose(b.compose(c.compose(d))),
+    ):
+        assert composite == stab.extension
+    a0, b0, c0, d0 = (f.specialize(0) for f in (a, b, c, d))
+    assert a0.compose(b0).compose(c0.compose(d0)) == stab.extension.specialize(0)
+    tau, epsilon, tau_inv = fam.tau, fam.epsilon, fam.tau_inv
+    assert tau.compose(epsilon).compose(tau_inv) == fam.automorphism
+    assert tau.compose(epsilon.compose(tau_inv)) == fam.automorphism
 
 
 def test_length_bounds(families):

@@ -58,6 +58,8 @@ def test_compose_chain_matches_pairwise():
     chained = PolyEndo.compose_chain(factors)
     paired = factors[0].compose(factors[1]).compose(factors[2]).compose(factors[3])
     assert chained == paired
+    right = factors[0].compose(factors[1].compose(factors[2].compose(factors[3])))
+    assert chained == right
     assert PolyEndo.compose_chain([factors[0]]) == factors[0]
 
 

@@ -253,3 +253,30 @@ def test_parse_rejects_exponents_beyond_the_bound():
     with pytest.raises(ParseError):
         P(f"x2^{MAX_EXPONENT // 2}*x2^{MAX_EXPONENT // 2}*x2^2")
     assert P("t^99999999999") == MultiPoly.parameter(3) ** 99999999999
+
+
+def test_monomial_powers_reach_the_bound():
+    # a one-term base is raised in one step: no square beyond the result
+    assert P("x1^1073741824") == MultiPoly.monomial(3, (2**30, 0, 0))
+    assert P(f"x1^{MAX_EXPONENT}") == MultiPoly.monomial(3, (MAX_EXPONENT, 0, 0))
+    with pytest.raises(ParseError, match="above the bound"):
+        P(f"x1^{MAX_EXPONENT + 1}")
+    x2_squared = MultiPoly.monomial(3, (0, 2, 0))
+    assert x2_squared ** (MAX_EXPONENT // 2) == MultiPoly.monomial(3, (0, MAX_EXPONENT - 1, 0))
+    with pytest.raises(ExponentOverflow):
+        x2_squared ** (2**30)
+
+
+def test_monomial_powers_match_repeated_products():
+    rng = random.Random(29)
+    for _ in range(20):
+        scalar = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+        coeff = LaurentPoly.t_power(rng.randint(-3, 3), scalar)
+        base = MultiPoly.monomial(3, [rng.randint(0, 3) for _ in range(3)], coeff)
+        expected = MultiPoly.one(3)
+        for exponent in range(6):
+            assert base**exponent == expected
+            expected = expected * base
+    assert MultiPoly.zero(3) ** 0 == MultiPoly.one(3)
+    assert MultiPoly.zero(3) ** 3 == MultiPoly.zero(3)
+    assert P("(-2/3*t^-1)^-3") == P("-27/8*t^3")
