@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .errors import ExponentOverflow
+from .errors import ExponentOverflow, NonUnit
 
 BACKEND = "pure"
 
@@ -77,6 +77,50 @@ def canonical(acc: dict, den: int, bound: int | None = None) -> Terms:
         if g != 1:
             return make({key: c // g for key, c in acc.items()}, den // g)
     return make(acc, den)
+
+
+def variable_key(arity: int, index: int) -> int:
+    """The key of x_index, for 1 <= index <= arity."""
+    return 1 << ((arity - index) * SLOT_BITS)
+
+
+def t_key(arity: int) -> int:
+    """The key of t."""
+    return 1 << (arity * SLOT_BITS)
+
+
+def monomial_power(
+    key: int, num: int, den: int, e: int, arity: int, power=pow
+) -> tuple[int, int, int]:
+    """The term ``num/den`` times the monomial ``key``, raised to ``e``.
+
+    Returns ``(key, numerator, denominator > 0)`` in lowest terms; ``den``
+    must be positive.  Scaling the key scales every exponent, t's included.
+    A negative ``e`` needs a unit, a nonzero term with no variable (``c*t^k``),
+    and raises NonUnit otherwise; zero to the power 0 is 1.  Raises
+    ExponentOverflow when a variable exponent would pass ``MAX_EXPONENT``.
+    ``power(base, e)`` raises the numerator and denominator.
+    """
+    low = key & (t_key(arity) - 1)  # the variable slots
+    if e < 0:
+        if not num or low:
+            raise NonUnit("negative powers need a unit base")
+        key, num, den, e = -key, den, num, -e
+        if den < 0:
+            num, den = -num, -den
+    elif not num:
+        return 0, 0 if e else 1, 1
+    while low:
+        if (low & SLOT_MASK) * e > MAX_EXPONENT:
+            raise ExponentOverflow(
+                f"a power has a variable exponent above the bound {MAX_EXPONENT}"
+            )
+        low >>= SLOT_BITS
+    g = gcd(num, den)
+    if g != 1:
+        num //= g
+        den //= g
+    return key * e, power(num, e), power(den, e)
 
 
 def guard_mask(arity: int) -> int:

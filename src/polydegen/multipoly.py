@@ -110,12 +110,12 @@ class MultiPoly:
         """The variable x_index, with 1 <= index <= arity."""
         if not 1 <= index <= arity:
             raise ArityMismatch(f"variable index {index} out of range for arity {arity}")
-        return cls._raw(arity, K.make({1 << ((arity - index) * _W): 1}))
+        return cls._raw(arity, K.make({K.variable_key(arity, index): 1}))
 
     @classmethod
     def parameter(cls, arity: int) -> MultiPoly:
         """The parameter t as a constant polynomial."""
-        return cls._raw(arity, K.make({1 << (arity * _W): 1}))
+        return cls._raw(arity, K.make({K.t_key(arity): 1}))
 
     @classmethod
     def monomial(
@@ -323,20 +323,15 @@ class MultiPoly:
         return NotImplemented
 
     def __pow__(self, exponent: int) -> MultiPoly:
-        if exponent < 0:
-            if self.is_constant():
-                inv = self.as_laurent().unit_inverse(RingMode.LAURENT)
-                return MultiPoly.constant(self.arity, inv) ** (-exponent)
-            raise NonUnit("negative powers need a unit base")
         terms = self._terms
         if len(terms) == 1:
-            # a monomial: scaling the key scales every exponent, t's included,
-            # and num^e over den^e stays in lowest terms
+            # a monomial, raised in one step
             [(key, num)] = terms.items()
-            if max(_powers(key, self.arity)) * exponent > K.MAX_EXPONENT:
-                raise ExponentOverflow(f"a power has a variable exponent above {K.MAX_EXPONENT}")
-            power = K.make({key * exponent: num**exponent}, terms.den**exponent)
-            return MultiPoly._raw(self.arity, power)
+            key, num, den = K.monomial_power(key, num, terms.den, exponent, self.arity)
+            return MultiPoly._raw(self.arity, K.make({key: num}, den))
+        if exponent < 0:
+            # the units are the nonzero terms c*t^k, which have one term
+            raise NonUnit("negative powers need a unit base")
         result = MultiPoly.one(self.arity)
         base = self
         n = exponent

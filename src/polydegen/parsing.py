@@ -14,24 +14,49 @@ scalar), since everything must stay inside Q[t,t^-1][x1,...,xn].  A power
 of an expression in the variables, and any variable exponent the input
 builds up, must stay at most ``MAX_EXPONENT`` (2^31 - 1), the largest the
 packed term kernel holds; beyond it the input is rejected with
-``ParseError``.
+``ParseError``.  So is a power of a one-term base whose coefficient would
+get a numerator or denominator with more digits than ``int()`` converts
+from text (``sys.get_int_max_str_digits()``, the limit that also rejects a
+digit string too long to read): ``7^20000000`` is refused at once instead
+of being computed.  No rendered polynomial holds such a coefficient, since
+rendering prints it with ``str()``.
+
+Canonical text goes straight to packed terms.  One regex pass splits the
+text into tokens.  Each product of numbers, ``t``, variables, their integer
+powers and parenthesised one-term scalars folds into one ``(key,
+numerator, denominator)`` monomial with int arithmetic, the key packed as
+in :mod:`polydegen._kernel`; a power of such a factor is taken by
+``_kernel.monomial_power``, as ``MultiPoly.__pow__`` takes it.  Each sum puts its monomials over one common
+denominator with a single ``canonical`` call.  Only a parenthesised factor
+of two or more terms, or a power of one, goes through ``MultiPoly``
+arithmetic.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
+from functools import cached_property
+from itertools import islice
+from math import lcm
 
-from ._kernel import MAX_EXPONENT
-from .errors import ExponentOverflow, ParseError
-from .laurent import LaurentPoly, RingMode
+from ._kernel import MAX_EXPONENT, canonical, guard_mask, monomial_power, t_key, variable_key
+from .errors import ExponentOverflow, NonUnit, ParseError
+from .laurent import LaurentPoly
 from .multipoly import MultiPoly
 
-_RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
+_RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?\Z")
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<number>\d+(?:/\d+)?)|(?P<var>x\d+)|(?P<t>t)|(?P<op>[-+*^()]))"
-)
+# One token per match, after optional whitespace: a number, a variable, a
+# power ('^', an optional '-' and a number, spaces allowed between), an
+# operator or 't', and last any other character, which no rule accepts.
+_TOKEN_RE = re.compile(r"\s*(\d+(?:/\d+)?|x\d+|\^\s*-?\s*\d+(?:/\d+)?|[-+*^()t]|\S)")
+_KNOWN_RE = re.compile(r"\d|x\d|[-+*^()t]")  # how each token but a stray character starts
+_END = "<end>"  # closes the token list
+
+# (packed key, numerator, denominator > 0): one term, not yet in lowest terms
+Monomial = tuple[int, int, int]
 
 
 def parse_rational(text: str) -> Fraction:
@@ -42,138 +67,242 @@ def parse_rational(text: str) -> Fraction:
     """
     text = text.strip()
     if not _RATIONAL_RE.match(text):
-        raise ParseError(f"not a rational: {text!r}")
-    try:
-        return _digits(Fraction, text)
-    except ZeroDivisionError:
-        raise ParseError(f"zero denominator in {text!r}") from None
+        raise ParseError(f"not a rational: {_clip(text)!r}")
+    return Fraction(*_number(text))
 
 
-def _digits(convert, text: str):
-    """convert(text), reporting a digit string too long to convert as a ParseError."""
+def _number(text: str) -> tuple[int, int]:
+    """The numerator and the nonzero denominator of a number 'n' or 'n/d'."""
+    num, _, den = text.partition("/")
     try:
-        return convert(text)
+        num = int(num)
+        den = int(den) if den else 1
+    except ValueError:  # a digit string longer than int() converts
+        raise _too_long(max(text.split("/"), key=len)) from None
+    if not den:
+        raise ParseError(f"zero denominator in {_clip(text)!r}")
+    return num, den
+
+
+def _digits(text: str) -> int:
+    """int(text), reporting a digit string too long to convert as a ParseError."""
+    try:
+        return int(text)
     except ValueError:
-        raise ParseError(f"number too long: {text[:20]}... ({len(text)} characters)") from None
+        raise _too_long(text) from None
 
 
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    tokens: list[tuple[str, str]] = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            rest = text[pos:].strip()
-            if not rest:
-                break
-            raise ParseError(f"unexpected character at position {pos}: {rest[:10]!r}")
-        pos = match.end()
-        kind = match.lastgroup
-        assert kind is not None
-        tokens.append((kind, match.group(kind)))
-    return tokens
+def _too_long(text: str) -> ParseError:
+    return ParseError(f"number too long: {text[:20]}... ({len(text)} characters)")
+
+
+def _clip(text: str, width: int = 40) -> str:
+    """text, cut to ``width`` characters so that error messages stay short."""
+    return text if len(text) <= width else f"{text[:width]}..."
+
+
+# the digit limit of int() and str(), 0 for none (Python before 3.10.7)
+_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def _scalar_power(value: int, exponent: int) -> int:
+    """value ** exponent, refused when int() could not read its digits back."""
+    limit = abs(value) > 1 and _max_str_digits()
+    if limit:
+        ceiling = 10**limit
+        # |value| >= 2^(bits - 1), so this bound alone proves the power too
+        # long, and below it the power has fewer than twice the ceiling's bits
+        if exponent * (abs(value).bit_length() - 1) >= ceiling.bit_length():
+            raise ParseError(f"a power's coefficient has more than {limit} digits")
+        power = value**exponent
+        if abs(power) >= ceiling:
+            raise ParseError(f"a power's coefficient has more than {limit} digits")
+        return power
+    return value**exponent
+
+
+def _describe(poly: MultiPoly) -> str:
+    """Short text for poly in an error message."""
+    try:
+        return _clip(str(poly))
+    except ValueError:  # a coefficient with more digits than str() prints
+        return f"{poly.term_count()}-term polynomial with a coefficient too long to print"
 
 
 class _Parser:
-    def __init__(self, tokens: list[tuple[str, str]], arity: int):
-        self.tokens = tokens
+    """Recursive descent over the tokens of one text."""
+
+    def __init__(self, text: str, arity: int | None):
+        self.text = text
+        self.tokens = _TOKEN_RE.findall(text)
+        self.tokens.append(_END)
         self.pos = 0
-        self.arity = arity
+        self.arity = arity  # None until parse_poly infers it
+        self.var_keys: dict[str, int] = {}  # variable token -> its key
 
-    def peek(self) -> tuple[str, str] | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    # The key of t and the guard mask grow with the arity: each is built the
+    # first time the input needs it, as MultiPoly arithmetic builds them.
+    @cached_property
+    def t(self) -> int:
+        return t_key(self.arity)
 
-    def take(self) -> tuple[str, str]:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input")
-        self.pos += 1
-        return tok
+    @cached_property
+    def guard(self) -> int:
+        return guard_mask(self.arity)
 
-    def expect_op(self, op: str) -> None:
-        tok = self.take()
-        if tok != ("op", op):
-            raise ParseError(f"expected {op!r}, found {tok[1]!r}")
-
-    def expr(self) -> MultiPoly:
-        sign = 1
-        tok = self.peek()
-        if tok in (("op", "+"), ("op", "-")):
-            self.take()
-            sign = -1 if tok[1] == "-" else 1
-        # (sign, term) pairs, summed pairwise: a long sum of terms with
-        # distinct denominators then rescales each numerator O(log n) times,
-        # not O(n) times, and still takes one addition per term.
-        parts = [(1, self.term() * sign)]
+    def expr(self) -> Monomial | MultiPoly:
+        """A sum: a monomial when it has at most one term, else a MultiPoly."""
+        tokens = self.tokens
+        i = self.pos
+        negative = tokens[i] == "-"
+        if negative or tokens[i] == "+":
+            i += 1
+        monomials: list[Monomial] = []
+        polys: list[MultiPoly] = []
         while True:
-            tok = self.peek()
-            if tok == ("op", "+"):
-                self.take()
-                parts.append((1, self.term()))
-            elif tok == ("op", "-"):
-                self.take()
-                parts.append((-1, self.term()))
+            term, i = self.term(i)
+            if type(term) is tuple:
+                monomials.append((term[0], -term[1], term[2]) if negative else term)
+            else:
+                polys.append(-term if negative else term)
+            op = tokens[i]
+            if op == "+":
+                negative = False
+            elif op == "-":
+                negative = True
             else:
                 break
-        while len(parts) > 1:
-            paired = [_signed_sum(a, b) for a, b in zip(parts[::2], parts[1::2])]
-            if len(parts) % 2:
-                paired.append(parts[-1])
-            parts = paired
-        return parts[0][1]
+            i += 1
+        self.pos = i
+        if not polys and len(monomials) == 1:
+            return monomials[0]
+        # canonical text has each coefficient in lowest terms, so the lcm of
+        # the denominators is the sum's own denominator
+        den = lcm(*[m[2] for m in monomials])
+        acc: dict[int, int] = {}
+        for key, num, d in monomials:
+            acc[key] = acc.get(key, 0) + num * (den // d)
+        result = MultiPoly._raw(self.arity, canonical(acc, den))
+        for poly in polys:
+            result = result + poly
+        terms = result._terms
+        if len(terms) > 1:
+            return result
+        if not terms:
+            return (0, 0, 1)
+        [(key, num)] = terms.items()
+        return (key, num, terms.den)
 
-    def term(self) -> MultiPoly:
-        result = self.factor()
-        while self.peek() == ("op", "*"):
-            self.take()
-            result = result * self.factor()
-        return result
+    def term(self, i: int) -> tuple[Monomial | MultiPoly, int]:
+        """The product starting at token i, and the index after it.
 
-    def factor(self) -> MultiPoly:
-        base = self.atom()
-        if self.peek() != ("op", "^"):
-            return base
-        self.take()
-        sign = 1
-        if self.peek() == ("op", "-"):
-            self.take()
-            sign = -1
-        kind, text = self.take()
-        if kind != "number" or "/" in text:
-            raise ParseError(f"exponent must be an integer, found {text!r}")
-        exponent = sign * _digits(int, text)
-        if exponent > MAX_EXPONENT and not base.is_constant():
-            raise ParseError(f"exponent {exponent} is above the bound {MAX_EXPONENT}")
-        if exponent >= 0:
-            return base**exponent
-        if base.is_constant() and base.as_laurent().is_unit(RingMode.LAURENT):
-            return base**exponent
-        raise ParseError(f"negative power of a non-unit: ({base})^{exponent}")
+        Factors fold left to right, and each product is checked for an
+        exponent overflow as the kernel checks it, so the same inputs
+        overflow.
+        """
+        tokens = self.tokens
+        var_keys = self.var_keys
+        key, num, den = 0, 1, 1
+        poly = None  # the product so far, once a factor had two or more terms
+        while True:
+            tok = tokens[i]
+            i += 1
+            first = tok[0]
+            factor = None
+            fnum = fden = 1
+            if first == "x":
+                fkey = var_keys.get(tok) or self.variable(i - 1)
+            elif first.isdecimal():
+                fkey = 0
+                fnum, fden = _number(tok)
+            elif first == "t":
+                fkey = self.t
+            elif first == "(":
+                self.pos = i
+                inner = self.expr()
+                i = self.pos
+                if tokens[i] != ")":
+                    self.unexpected(i, "expected ')', found")
+                i += 1
+                if type(inner) is tuple:
+                    fkey, fnum, fden = inner
+                else:
+                    factor = inner
+            else:
+                self.unexpected(i - 1, "unexpected token")
+            tok = tokens[i]
+            if tok[0] == "^":
+                i += 1
+                if factor is not None:
+                    factor = self.poly_power(factor, tok[1:], i)
+                else:
+                    e = self.exponent(tok[1:], i)
+                    base = (fkey, fnum, fden)
+                    try:
+                        fkey, fnum, fden = monomial_power(*base, e, self.arity, _scalar_power)
+                    except NonUnit:
+                        shown = _describe(self.to_poly(base))
+                        raise ParseError(f"negative power of a non-unit: ({shown})^{e}") from None
+            if factor is None and poly is None:
+                # a valid key plus one with no variable slot set stays valid
+                overlap = key and fkey
+                key += fkey
+                num *= fnum
+                den *= fden
+                if overlap and num and key & self.guard:
+                    raise ExponentOverflow(f"a product has a variable exponent above {MAX_EXPONENT}")
+            else:
+                if poly is None:
+                    poly = self.to_poly((key, num, den))
+                poly = poly * (factor if factor is not None else self.to_poly((fkey, fnum, fden)))
+            if tokens[i] != "*":
+                return (key, num, den) if poly is None else poly, i
+            i += 1
 
-    def atom(self) -> MultiPoly:
-        kind, text = self.take()
-        if kind == "number":
-            return MultiPoly.constant(self.arity, _digits(Fraction, text))
-        if kind == "t":
-            return MultiPoly.parameter(self.arity)
-        if kind == "var":
-            index = _digits(int, text[1:])
-            if not 1 <= index <= self.arity:
-                raise ParseError(f"variable {text} out of range for arity {self.arity}")
-            return MultiPoly.variable(self.arity, index)
-        if (kind, text) == ("op", "("):
-            inner = self.expr()
-            self.expect_op(")")
-            return inner
-        raise ParseError(f"unexpected token {text!r}")
+    def variable(self, i: int) -> int:
+        tok = self.tokens[i]
+        if len(tok) == 1:
+            self.unexpected(i, "unexpected token")  # an 'x' without an index
+        index = _digits(tok[1:])
+        if not 1 <= index <= self.arity:
+            raise ParseError(f"variable {_clip(tok)} out of range for arity {self.arity}")
+        key = self.var_keys[tok] = variable_key(self.arity, index)
+        return key
 
+    def exponent(self, text: str, i: int) -> int:
+        """The exponent after a '^' whose token ends before token i."""
+        text = "".join(text.split())
+        if not text:  # a '^' with no number after it
+            self.unexpected(i + (self.tokens[i] == "-"), "exponent must be an integer, found")
+        if "/" in text:
+            raise ParseError(f"exponent must be an integer, found {_clip(text.lstrip('-'))!r}")
+        if text[0] == "-":
+            return -_digits(text[1:])
+        return _digits(text)
 
-def _signed_sum(a: tuple[int, MultiPoly], b: tuple[int, MultiPoly]) -> tuple[int, MultiPoly]:
-    """sa*pa + sb*pb as a (sign, poly) pair, with one addition or subtraction."""
-    (sa, pa), (sb, pb) = a, b
-    if sa == sb:
-        return sa, pa + pb
-    return (1, pa - pb) if sa == 1 else (1, pb - pa)
+    def poly_power(self, base: MultiPoly, text: str, i: int) -> MultiPoly:
+        """base ** e for a base of two or more terms, which is never a unit."""
+        e = self.exponent(text, i)
+        if e > MAX_EXPONENT and not base.is_constant():
+            raise ParseError(f"exponent {e} is above the bound {MAX_EXPONENT}")
+        if e < 0:
+            raise ParseError(f"negative power of a non-unit: ({_describe(base)})^{e}")
+        return base**e
+
+    def unexpected(self, i: int, what: str) -> None:
+        tok = self.tokens[i]
+        if tok is _END:
+            raise ParseError("unexpected end of input")
+        if not _KNOWN_RE.match(tok):
+            pos = next(islice(_TOKEN_RE.finditer(self.text), i, None)).start()
+            raise ParseError(
+                f"unexpected character at position {pos}: {self.text[pos:].strip()[:10]!r}"
+            )
+        raise ParseError(f"{what} {_clip(tok)!r}")
+
+    def to_poly(self, monomial: Monomial) -> MultiPoly:
+        key, num, den = monomial
+        return MultiPoly._raw(self.arity, canonical({key: num}, den))
 
 
 def parse_poly(text: str, arity: int | None = None) -> MultiPoly:
@@ -185,19 +314,25 @@ def parse_poly(text: str, arity: int | None = None) -> MultiPoly:
     >>> print(parse_poly('(-1/2*t^-1)*x1^2 + x2'))
     (-1/2*t^-1)*x1^2 + x2
     """
-    tokens = _tokenize(text)
+    parser = _Parser(text, arity)
     if arity is None:
-        arity = 1
-        for kind, tok in tokens:
-            if kind == "var":
-                arity = max(arity, _digits(int, tok[1:]))
-    parser = _Parser(tokens, arity)
+        # a stray character is an error wherever it stands: report it before
+        # the arity, and so the size of the keys, is read off the variables
+        tokens = parser.tokens[:-1]
+        for i, tok in enumerate(tokens):
+            if not _KNOWN_RE.match(tok):
+                parser.unexpected(i, "unexpected token")
+        parser.arity = max([1, *(_digits(tok[1:]) for tok in set(tokens) if tok[0] == "x")])
     try:
         result = parser.expr()
     except ExponentOverflow as exc:
         raise ParseError(str(exc)) from None
-    if parser.peek() is not None:
-        raise ParseError(f"trailing input from token {parser.peek()[1]!r}")
+    except RecursionError:
+        raise ParseError("parentheses nested too deeply") from None
+    if parser.tokens[parser.pos] is not _END:
+        parser.unexpected(parser.pos, "trailing input from token")
+    if type(result) is tuple:
+        return parser.to_poly(result)
     return result
 
 
@@ -209,5 +344,5 @@ def parse_laurent(text: str) -> LaurentPoly:
     """
     poly = parse_poly(text, arity=1)
     if not poly.is_constant():
-        raise ParseError(f"expected a scalar in t, found variables in {text!r}")
+        raise ParseError(f"expected a scalar in t, found variables in {_clip(text)!r}")
     return poly.as_laurent()

@@ -168,6 +168,23 @@ def test_verify_rejects_an_exponent_beyond_the_bound(tmp_path, capsys):
     assert "above the bound" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "h",
+    ["1/0*x1", f"({'9' * 4000}*{'9' * 4000}*x1)^-1", "7^20000000*x1", "(" * 5000 + "x1" + ")" * 5000],
+    ids=["zero denominator", "huge coefficient in the message", "huge scalar power", "deep nesting"],
+)
+def test_verify_rejects_hostile_numbers_without_a_traceback(tmp_path, capsys, h):
+    doc = json.loads(run(["specialize", "--l", "1", "--alpha", "2"], capsys)[1])
+    doc["h"] = h
+    bad = tmp_path / "hostile.json"
+    bad.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, _, err = run(["verify", "--in", str(bad)], capsys)
+    assert code == 2
+    assert time.perf_counter() - start < 1.0
+    assert err.startswith("error: ") and len(err) < 300
+
+
 def test_exponent_overflow_in_a_computation_exits_one(capsys):
     # delta needs x2^l, and the powering overflows the x2 slot at once
     code, stdout, err = run(["family", "--l", "3000000000"], capsys)

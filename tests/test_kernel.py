@@ -25,7 +25,7 @@ from oracles import (
 )
 from polydegen import _kernel as K
 from polydegen import kernel_backend
-from polydegen.errors import ExponentOverflow
+from polydegen.errors import ExponentOverflow, NonUnit
 from polydegen.multipoly import MultiPoly
 
 ARITY = 3
@@ -164,6 +164,36 @@ def test_product_overflow_is_caught_per_result_term():
     # exponents at the bound in different slots do not carry
     both = K.mul_terms(top, other_slot, GUARD)
     assert decode(both) == {(K.MAX_EXPONENT, K.MAX_EXPONENT, 0, -5): Fraction(1)}
+
+
+@examples
+@given(keys, coeffs, st.integers(-4, 4), st.integers(1, 6))
+def test_monomial_power_matches_the_reference(key, c, e, common):
+    # the base need not be in lowest terms
+    base = (ref_pack(key, W), c.numerator * common, c.denominator * common)
+    if e < 0 and any(key[:ARITY]):
+        with pytest.raises(NonUnit):
+            K.monomial_power(*base, e, ARITY)
+        return
+    power_key, num, den = K.monomial_power(*base, e, ARITY)
+    power = K.make({power_key: num}, den)
+    assert_canonical(power)
+    assert decode(power) == {tuple(k * e for k in key): c**e}
+
+
+def test_monomial_power_edge_cases():
+    x1, t = K.variable_key(ARITY, 1), K.t_key(ARITY)
+    assert (K.variable_key(ARITY, ARITY), t) == (1, 1 << (ARITY * W))
+    assert K.monomial_power(x1, 0, 1, 0, ARITY) == (0, 1, 1)
+    assert K.monomial_power(x1, 0, 5, 3 * K.MAX_EXPONENT, ARITY) == (0, 0, 1)
+    assert K.monomial_power(x1, 1, 1, K.MAX_EXPONENT, ARITY) == (x1 * K.MAX_EXPONENT, 1, 1)
+    with pytest.raises(ExponentOverflow):
+        K.monomial_power(x1, 1, 1, K.MAX_EXPONENT + 1, ARITY)
+    with pytest.raises(NonUnit):
+        K.monomial_power(t, 0, 1, -1, ARITY)
+    assert K.monomial_power(t, -2, 3, -2, ARITY) == (-2 * t, 9, 4)
+    # the numerator and the denominator are raised by the given power function
+    assert K.monomial_power(3 * t, 2, 1, 10**20, ARITY, lambda b, e: b) == (3 * 10**20 * t, 2, 1)
 
 
 def test_active_backend_is_reported():

@@ -1,10 +1,19 @@
-"""Text grammar for rationals, Laurent polynomials, and polynomials."""
+"""Text grammar for rationals, Laurent polynomials, and polynomials.
 
+The round trip runs hypothesis derandomized, so every run draws the same
+examples.
+"""
+
+import sys
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polydegen import ParseError, parse_laurent, parse_poly, parse_rational
+from polydegen.laurent import LaurentPoly
 from polydegen.multipoly import MultiPoly
 
 
@@ -56,9 +65,14 @@ def test_implicit_multiplication_is_rejected():
 
 
 def test_malformed_inputs():
-    for bad in ("", "x1 +", "* x1", "x0", "x", "(x1", "x1)", "x1^", "x1^x2", "1//2"):
+    for bad in ("", "x1 +", "* x1", "x0", "x", "(x1", "x1)", "x1^", "x1^x2", "1//2", "1/0*x1"):
         with pytest.raises(ParseError):
             parse_poly(bad, arity=3)
+    # without an arity, a stray character is an error before any variable
+    # sizes the keys
+    for bad in ("x1 $ x99999999999", "x99999999999 + 1;"):
+        with pytest.raises(ParseError, match="unexpected character"):
+            parse_poly(bad)
 
 
 def test_arity_too_small():
@@ -70,6 +84,12 @@ def test_parse_laurent_rejects_variables():
     assert parse_laurent("-2/3*t^-2 + 1") == parse_poly("-2/3*t^-2 + 1", arity=1).as_laurent()
     with pytest.raises(ParseError):
         parse_laurent("x1")
+
+
+def test_deep_nesting_is_a_parse_error():
+    assert parse_poly("(" * 100 + "x1" + ")" * 100) == MultiPoly.variable(1, 1)
+    with pytest.raises(ParseError, match="nested too deeply"):
+        parse_poly("(" * 5000 + "x1" + ")" * 5000)
 
 
 def test_whitespace_is_flexible():
@@ -84,3 +104,102 @@ def test_overlong_digit_strings_are_parse_errors():
             parse_poly(text)
     with pytest.raises(ParseError, match="number too long"):
         parse_rational(digits)
+
+
+@st.composite
+def polys(draw):
+    """A MultiPoly with negative t powers, several t powers per monomial of
+    the variables (rendered as '(...)*x...'), 12-digit-plus numerators and
+    denominators, and terms cancelled away, possibly all of them."""
+    arity = draw(st.integers(1, 4))
+    keys = st.tuples(*(st.integers(0, 2) for _ in range(arity)), st.integers(-3, 3))
+    coeffs = st.builds(
+        Fraction,
+        st.one_of(st.integers(-9, 9), st.integers(-10**15, 10**15)),
+        st.one_of(st.integers(1, 12), st.integers(10**12, 10**13)),
+    )
+    terms = draw(st.dictionaries(keys, coeffs, max_size=8))
+    cancelled = draw(st.sets(st.sampled_from(sorted(terms)))) if terms else set()
+    return MultiPoly(arity, terms) - MultiPoly(arity, {k: terms[k] for k in cancelled})
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(polys())
+def test_canonical_text_round_trips(p):
+    text = str(p)
+    assert parse_poly(text, p.arity) == p
+    # without an arity, the largest variable index that occurs (at least 1)
+    inferred = parse_poly(text)
+    used = [i + 1 for powers, _ in p.terms() for i, e in enumerate(powers[:-1]) if e]
+    assert inferred.arity == max([1, *used])
+    assert inferred.extend_arity(p.arity) == p
+
+
+def _non_canonical():
+    x1, x2, x3 = (MultiPoly.variable(3, i) for i in (1, 2, 3))
+    t = MultiPoly.parameter(3)
+    half_t_inv = MultiPoly.constant(3, LaurentPoly.t_power(-1, Fraction(1, 2)))
+    return [
+        ("((x1 + (t)))*((2))", (x1 + t) * 2),
+        ("(x1+x2)^3", (x1 + x2) ** 3),
+        ("-(x1 - 2*x2)", -(x1 - 2 * x2)),
+        ("((2*t)^-1)^2", half_t_inv**2),
+        ("x1*x1^2", x1**3),
+        ("x2*x1*t*x1*3/4*x2^0", x1**2 * x2 * t * Fraction(3, 4)),
+        ("2/4*x1 + x1 - 3/2*x1", MultiPoly.zero(3)),
+        ("3*(x1 + 1)*x2*(x1 - 1)^2*t^-1", 3 * (x1 + 1) * x2 * (x1 - 1) ** 2 * half_t_inv * 2),
+        ("(t^-1*x1)^2*(x1 + t) - x1^3*t^-2", x1**2 * t**-1),
+        ("(x1 - x1)^0 + (x2 - x2)*x3", MultiPoly.one(3)),
+        ("(-34/5*t)*x1^4 + (t^-1 + 3*t^2)*x3", Fraction(-34, 5) * t * x1**4 + (t**-1 + 3 * t**2) * x3),
+        (" x1 *  x2 ^ 2 -  3/4 * t ^ - 1 ", x1 * x2**2 - Fraction(3, 4) * t**-1),
+        ("\t-\n(x3)\n", -x3),
+    ]
+
+
+NON_CANONICAL = _non_canonical()
+
+
+@pytest.mark.parametrize(("text", "expected"), NON_CANONICAL, ids=[t for t, _ in NON_CANONICAL])
+def test_non_canonical_input_matches_arithmetic(text, expected):
+    assert parse_poly(text, arity=3) == expected
+
+
+def test_a_zero_factor_stops_the_overflow_check():
+    # as in the kernel, a product with a zero operand is zero and checks nothing
+    top = "x1^2147483647"
+    assert parse_poly(f"0*{top}*{top}").is_zero()
+    assert parse_poly("(0*x1)^3000000000 + (x1 - x1)^0") == parse_poly("1")
+    with pytest.raises(ParseError, match="above"):
+        parse_poly(f"{top}*{top}*0")
+
+
+def test_scalar_powers_stop_at_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    # 2^largest has at most `limit` digits, 2^(largest + 1) more
+    largest = (10**limit).bit_length() - 1
+    assert parse_poly(f"2^{largest}*x1") == MultiPoly.monomial(1, (1,), 2**largest)
+    assert parse_poly(f"(1/2*t)^-{largest}") == parse_poly(f"2^{largest}*t^-{largest}")
+    for text in (f"2^{largest + 1}*x1", f"(1/2)^{largest + 1}", f"(2*t)^-{largest + 1}",
+                 f"(2*x1)^{largest + 1}"):
+        with pytest.raises(ParseError, match="digits"):
+            parse_poly(text)
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="digits"):
+        parse_poly("7^20000000*x1")
+    assert time.perf_counter() - start < 1.0
+    # units stay cheap at any exponent
+    assert parse_poly("(-1)^99999999999*t^99999999999") == -MultiPoly.parameter(1) ** 99999999999
+
+
+def test_error_messages_stay_short():
+    digits = "9" * 4000
+    for text in (f"({digits}*{digits}*x1)^-1", f"({digits}*x1 + {digits}*x2)^-1",
+                 f"x1 {digits}", f"(x1 {digits})", f"x1^{digits}/3"):
+        with pytest.raises(ParseError) as exc:
+            parse_poly(text)
+        assert len(str(exc.value)) < 200
+    with pytest.raises(ParseError) as exc:
+        parse_laurent(f"{digits}*x1")
+    assert len(str(exc.value)) < 200
+    with pytest.raises(ParseError, match="zero denominator"):
+        parse_poly("1/0*x1")
