@@ -10,7 +10,6 @@ exact rationals; there is no floating point anywhere.
 from ._kernel import kernel_backend
 from .certificates import (
     ConjugationCertificate,
-    LengthBounds,
     StabilizationCertificate,
     TamenessWord,
     WildnessReport,
@@ -18,7 +17,6 @@ from .certificates import (
     build_stabilization,
     check_wild_at_zero,
     factor_kind,
-    length_bounds,
     specialized_tameness,
 )
 from .derivation import TriangularDerivation
@@ -36,7 +34,7 @@ from .errors import (
     PolydegenError,
     ZeroPolynomial,
 )
-from .family import FamilyInstance, LimitCheck, build_family, check_limit, slice_coefficients
+from .family import FamilyInstance, build_family, slice_coefficients
 from .laurent import LaurentPoly, Rational, RingMode
 from .multipoly import MultiPoly
 from .parsing import parse_laurent, parse_poly, parse_rational
@@ -52,8 +50,6 @@ __all__ = [
     "HypothesisViolation",
     "KernelViolation",
     "LaurentPoly",
-    "LengthBounds",
-    "LimitCheck",
     "MultiPoly",
     "NonUnit",
     "NotTriangular",
@@ -71,11 +67,9 @@ __all__ = [
     "build_conjugation",
     "build_family",
     "build_stabilization",
-    "check_limit",
     "check_wild_at_zero",
     "factor_kind",
     "kernel_backend",
-    "length_bounds",
     "parse_laurent",
     "parse_poly",
     "parse_rational",

@@ -37,6 +37,12 @@ SLOT_BITS = 32
 SLOT_MASK = (1 << SLOT_BITS) - 1
 MAX_EXPONENT = (1 << (SLOT_BITS - 1)) - 1
 
+# The largest arity parse_poly accepts.  A key holds arity * SLOT_BITS bits
+# and a substitution recurses once per variable, so an arity read from
+# untrusted text must be bounded before either happens.  64 is far inside
+# the recursion limit and 16 times the largest arity any command emits.
+MAX_ARITY = 64
+
 
 def kernel_backend() -> str:
     """Name of the term kernel; there is one, written in pure Python."""

@@ -1,10 +1,12 @@
 """Verification documents.
 
 Every CLI payload is a JSON document that embeds all of its own data as
-canonical polynomial text plus a transcript of exact identities.  Emission
-and verification share one engine: a builder assembles the fields, runs the
-same per-kind verifier that ``verify`` uses, refuses to emit unless every
-identity passes, and stores the transcript it just computed.  A verifier
+canonical polynomial text plus a transcript of exact identities.  Each
+document kind has one ordered check list, in its verifier here, and that
+list is the only place its identities are written: the constructors only
+build.  A builder assembles the fields as text, runs the kind's verifier on
+them, refuses to emit unless every identity passes, and stores the
+transcript it just computed; ``verify`` runs the same verifier.  A verifier
 reparses every field from text and recomputes every identity from scratch,
 so any edit to any embedded value flips at least one transcript line.
 
@@ -17,6 +19,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Callable
 
 from .certificates import (
@@ -39,6 +42,8 @@ from .multipoly import MultiPoly
 from .parsing import parse_poly, parse_rational
 
 FORMAT_VERSION = 1
+
+_FLAGS = ("f2_residue_nonzero", "h_residue_not_in_x1", "derivative_outside_ideal")
 
 
 @dataclass(frozen=True)
@@ -64,18 +69,6 @@ class _Lazy:
         if tag == "err":
             raise value
         return value
-
-
-class _Transcript:
-    def __init__(self):
-        self.checks: list[Check] = []
-
-    def run(self, identity: str, thunk: Callable[[], bool]) -> None:
-        try:
-            passed = bool(thunk())
-        except PolydegenError:
-            passed = False
-        self.checks.append(Check(identity, passed))
 
 
 # ------------------------------------------------------------ field parsing
@@ -182,11 +175,14 @@ def conjugation_document(cert: ConjugationCertificate) -> dict:
 
 
 def _wildness_fields(report: WildnessReport) -> dict:
+    return {**dict(zip(_FLAGS, report.flags)), "verdict": report.verdict}
+
+
+def _residues(report: WildnessReport) -> dict:
     return {
-        "f2_residue_nonzero": report.f2_residue_nonzero,
-        "h_residue_not_in_x1": report.h_residue_not_in_x1,
-        "derivative_outside_ideal": report.derivative_outside_ideal,
-        "verdict": report.verdict,
+        "f2": str(report.f2_residue),
+        "h": str(report.h_residue),
+        "derivative": str(report.derivative_residue),
     }
 
 
@@ -208,16 +204,8 @@ def wildness_document(
         {
             "derivation": [str(f) for f in delta.images],
             "h": str(h),
-            "flags": {
-                "f2_residue_nonzero": report.f2_residue_nonzero,
-                "h_residue_not_in_x1": report.h_residue_not_in_x1,
-                "derivative_outside_ideal": report.derivative_outside_ideal,
-            },
-            "residues": {
-                "f2": str(report.f2_residue),
-                "h": str(report.h_residue),
-                "derivative": str(report.derivative_residue),
-            },
+            "flags": dict(zip(_FLAGS, report.flags)),
+            "residues": _residues(report),
             "verdict": report.verdict,
             "fiber_at_zero": _images(fiber),
         }
@@ -281,6 +269,14 @@ def stabilization_document(
 
 
 # ----------------------------------------------------------------- verifiers
+#
+# A verifier parses a document's fields into a namespace ``f`` and runs the
+# kind's ordered check list over it.  An entry is (identity, predicate,
+# *premises): the predicate takes ``f`` (a kind's own predicates may also
+# read the verifier's local constants) and fails by returning False or by
+# raising a PolydegenError, and an entry fails without running when one of
+# its premises, the identities of earlier entries, failed.  Maps are built
+# from their images on first use, once.
 
 
 def verify_document(doc: dict) -> list[Check]:
@@ -301,248 +297,242 @@ def verify_document(doc: dict) -> list[Check]:
     return verifier(doc)
 
 
+def _run(f: SimpleNamespace, checks) -> list[Check]:
+    passed: dict[str, bool] = {}
+    out = []
+    for identity, predicate, *premises in checks:
+        ok = all(passed[p] for p in premises)
+        if ok:
+            try:
+                ok = bool(predicate(f))
+            except PolydegenError:
+                ok = False
+        passed[identity] = ok
+        out.append(Check(identity, ok))
+    return out
+
+
+# Identities that read the same in several kinds.  _KILLS_H needs ``f.delta``
+# and ``f.h``; the rest read the fields of _conjugation_fields.
+_RING_MODE = ("ring mode is Q[t,t^-1]", lambda f: f.doc.get("ring_mode") == RingMode.LAURENT.value)
+_KILLS_H = ("derivation kills h", lambda f: f.delta().apply(f.h).is_zero())
+_TAU_TRIANGULAR = (
+    "tau is triangular over Q[t,t^-1]",
+    lambda f: f.tau().is_triangular(RingMode.LAURENT),
+)
+_TAU_INVERTS = (
+    "tau and tau_inv are mutually inverse",
+    lambda f: f.tau().verify_inverse_pair(f.tau_inv()),
+)
+_POTENTIAL_IS_H_AT_ZERO = (
+    "slice potential is h at x1 = 0",
+    lambda f: f.h.substitute([MultiPoly.zero(f.h.arity), *f.x[1:]]) == f.p,
+)
+_TAU_SENDS_POTENTIAL = ("tau sends the slice potential to h", lambda f: f.tau().apply(f.p) == f.h)
+_AUTOMORPHISM_IS_EXP = ("automorphism is exp(h*delta)", lambda f: f.phi() == f.delta().exp(f.h))
+_CONJUGATES = (
+    "tau o epsilon o tau_inv equals the automorphism",
+    lambda f: PolyEndo.compose_chain((f.tau(), f.epsilon(), f.tau_inv())) == f.phi(),
+)
+
+
+def _conjugation_fields(doc: dict, arity: int) -> SimpleNamespace:
+    """The fields of a conjugation, which a family document holds too."""
+    f = SimpleNamespace(
+        doc=doc,
+        delta_images=_poly_list_field(doc, "derivation", arity),
+        h=_poly_field(doc, "h", arity),
+        tau_images=_poly_list_field(doc, "tau", arity),
+        tau_inv_images=_poly_list_field(doc, "tau_inv", arity),
+        p=_poly_field(doc, "slice_potential", arity),
+        eps_images=_poly_list_field(doc, "epsilon", arity),
+        phi_images=_poly_list_field(doc, "automorphism", arity),
+    )
+    f.x = tuple(MultiPoly.variable(arity, i) for i in range(1, arity + 1))
+    f.delta = _Lazy(lambda: TriangularDerivation(f.delta_images))
+    f.tau = _Lazy(lambda: PolyEndo(f.tau_images))
+    f.tau_inv = _Lazy(lambda: PolyEndo(f.tau_inv_images))
+    f.epsilon = _Lazy(lambda: PolyEndo(f.eps_images))
+    f.phi = _Lazy(lambda: PolyEndo(f.phi_images))
+    return f
+
+
 def _verify_family(doc: dict) -> list[Check]:
     l = _field(doc, "l", int)
     arity = _field(doc, "arity", int)
     if arity != 3:
         raise ParseError("family documents have arity 3")
-    coeff_text = _field(doc, "coefficients", list)
-    coeffs = tuple(parse_rational(str(c)) for c in coeff_text)
-    delta_images = _poly_list_field(doc, "derivation", arity)
-    g2 = _poly_field(doc, "g2", arity)
-    g3 = _poly_field(doc, "g3", arity)
-    tau_images = _poly_list_field(doc, "tau", arity)
-    tau_inv_images = _poly_list_field(doc, "tau_inv", arity)
-    p = _poly_field(doc, "slice_potential", arity)
-    eps_images = _poly_list_field(doc, "epsilon", arity)
-    h = _poly_field(doc, "h", arity)
-    phi_images = _poly_list_field(doc, "automorphism", arity)
-    dz_images = _poly_list_field(doc, "derivation_at_zero", arity)
-    h_limit = _poly_field(doc, "h_limit", arity)
-    fiber_images = _poly_list_field(doc, "fiber_at_zero", arity)
-    wild = _field(doc, "wildness", dict)
-
-    tr = _Transcript()
-    delta = _Lazy(lambda: TriangularDerivation(delta_images))
-    delta_zero = _Lazy(lambda: TriangularDerivation(dz_images))
-    tau = _Lazy(lambda: PolyEndo(tau_images))
-    tau_inv = _Lazy(lambda: PolyEndo(tau_inv_images))
-    epsilon = _Lazy(lambda: PolyEndo(eps_images))
-    phi = _Lazy(lambda: PolyEndo(phi_images))
-    fiber = _Lazy(lambda: PolyEndo(fiber_images))
-    exp_h = _Lazy(lambda: delta().exp(h))
-    report = _Lazy(lambda: check_wild_at_zero(delta(), h))
-
-    x1 = MultiPoly.variable(arity, 1)
-    x2 = MultiPoly.variable(arity, 2)
-    x3 = MultiPoly.variable(arity, 3)
+    coeffs = tuple(parse_rational(str(c)) for c in _field(doc, "coefficients", list))
+    f = _conjugation_fields(doc, arity)
+    f.g2 = _poly_field(doc, "g2", arity)
+    f.g3 = _poly_field(doc, "g3", arity)
+    f.dz_images = _poly_list_field(doc, "derivation_at_zero", arity)
+    f.h_limit = _poly_field(doc, "h_limit", arity)
+    f.fiber_images = _poly_list_field(doc, "fiber_at_zero", arity)
+    f.wild = _field(doc, "wildness", dict)
+    f.delta_zero = _Lazy(lambda: TriangularDerivation(f.dz_images))
+    f.fiber = _Lazy(lambda: PolyEndo(f.fiber_images))
+    x1, x2, x3 = f.x
     t = MultiPoly.parameter(arity)
+    # the closed formulas read c_0..c_l
+    counted = l >= 1 and len(coeffs) == l + 1
 
-    tr.run("ring mode is Q[t,t^-1]", lambda: doc.get("ring_mode") == RingMode.LAURENT.value)
-    tr.run(
-        "l is at least 1 and matches the coefficient count",
-        lambda: l >= 1 and len(coeffs) == l + 1,
-    )
-    tr.run("coefficients start at l+1", lambda: bool(coeffs) and coeffs[0] == l + 1)
-    tr.run(
-        "coefficients satisfy the recurrence (2i+1)*c_i = -(l-i+1)*c_{i-1}",
-        lambda: len(coeffs) == l + 1
-        and all(
-            (2 * i + 1) * coeffs[i] == -(l - i + 1) * coeffs[i - 1] for i in range(1, l + 1)
-        ),
-    )
-    tr.run(
-        "derivation is (t, x1, -(l+1)*x2^l)",
-        lambda: delta_images == (t, x1, -(l + 1) * x2**l),
-    )
-    tr.run("g2 is the slice image of x2", lambda: delta().sigma(x2) == g2)
-    tr.run("g3 is the slice image of x3", lambda: delta().sigma(x3) == g3)
-
-    def g3_formula() -> bool:
-        if len(coeffs) != l + 1 or l < 1:
-            return False
+    def g3_formula(f) -> bool:
         expected = x3
         for i in range(l + 1):
             expected = expected + MultiPoly.monomial(
                 arity, (2 * i + 1, l - i, 0), LaurentPoly.t_power(-(i + 1), coeffs[i])
             )
-        return expected == g3
+        return expected == f.g3
 
-    tr.run("g3 matches its coefficient formula", g3_formula)
-    tr.run("derivation kills g2", lambda: delta().apply(g2).is_zero())
-    tr.run("derivation kills g3", lambda: delta().apply(g3).is_zero())
-    tr.run("derivation kills h", lambda: delta().apply(h).is_zero())
-    tr.run("tau is (x1, g2, g3)", lambda: tau_images == (x1, g2, g3))
-    tr.run("tau is triangular over Q[t,t^-1]", lambda: tau().is_triangular(RingMode.LAURENT))
-    tr.run("tau and tau_inv are mutually inverse", lambda: tau().verify_inverse_pair(tau_inv()))
-    tr.run(
-        "slice potential is h at x1 = 0",
-        lambda: h.substitute([MultiPoly.zero(arity), x2, x3]) == p,
-    )
-
-    def p_formula() -> bool:
-        if len(coeffs) != l + 1 or l < 1 or not coeffs[l]:
-            return False
+    def p_formula(f) -> bool:
         c_l = coeffs[l]
-        expected = ((2 * x2) ** (2 * l + 1) + t * (x3 / c_l) ** 2) * MultiPoly.constant(
-            arity, LaurentPoly.t_power(l, c_l / 2)
-        )
-        return expected == p
+        scale = MultiPoly.constant(arity, LaurentPoly.t_power(l, c_l / 2))
+        return bool(c_l) and ((2 * x2) ** (2 * l + 1) + t * (x3 / c_l) ** 2) * scale == f.p
 
-    tr.run("slice potential matches its closed formula", p_formula)
-    tr.run("tau sends the slice potential to h", lambda: tau().apply(p) == h)
-    tr.run(
-        "epsilon is the elementary shift of x1 by t times the slice potential",
-        lambda: eps_images == (x1 + t * p, x2, x3),
-    )
-    tr.run("automorphism is exp(h*delta)", lambda: phi() == exp_h())
-    tr.run(
-        "tau o epsilon o tau_inv equals the automorphism",
-        lambda: PolyEndo.compose_chain((tau(), epsilon(), tau_inv())) == phi(),
-    )
-    tr.run("h is regular at t = 0", lambda: h.is_t_regular())
-    tr.run("h_limit is h at t = 0", lambda: h.specialize_t(0) == h_limit)
-    tr.run(
-        "h_limit equals x1^(2l)*(x1*x3 + x2^(l+1))",
-        lambda: h_limit == x1 ** (2 * l) * (x1 * x3 + x2 ** (l + 1)),
-    )
-    tr.run(
-        "h splits into its two leading terms plus an admissible remainder",
-        lambda: len(coeffs) == l + 1
-        and l >= 1
-        and bool(coeffs[l])
-        and not limit_shape_problems(h, l, coeffs[l]),
-    )
-    tr.run(
-        "derivation_at_zero is the derivation at t = 0",
-        lambda: dz_images == tuple(f.specialize_t(0) for f in delta_images),
-    )
-    tr.run("fiber_at_zero is the automorphism at t = 0", lambda: phi().specialize(0) == fiber())
-    tr.run(
-        "fiber_at_zero is exp(h_limit*delta_zero)",
-        lambda: fiber() == delta_zero().exp(h_limit),
-    )
-    tr.run(
-        "wildness flags recompute at t = 0",
-        lambda: wild == _wildness_fields(report()),
-    )
-    tr.run("wildness verdict is wild", lambda: wild.get("verdict") == WILD)
-    return tr.checks
+    return _run(f, (
+        _RING_MODE,
+        ("l is at least 1 and matches the coefficient count", lambda f: counted),
+        ("coefficients start at l+1", lambda f: bool(coeffs) and coeffs[0] == l + 1),
+        (
+            "coefficients satisfy the recurrence (2i+1)*c_i = -(l-i+1)*c_{i-1}",
+            lambda f: len(coeffs) == l + 1
+            and all(
+                (2 * i + 1) * coeffs[i] == -(l - i + 1) * coeffs[i - 1] for i in range(1, l + 1)
+            ),
+        ),
+        (
+            "derivation is (t, x1, -(l+1)*x2^l)",
+            lambda f: f.delta_images == (t, x1, -(l + 1) * x2**l),
+        ),
+        ("g2 is the slice image of x2", lambda f: f.delta().sigma(x2) == f.g2),
+        ("g3 is the slice image of x3", lambda f: f.delta().sigma(x3) == f.g3),
+        ("g3 matches its coefficient formula", lambda f: counted and g3_formula(f)),
+        ("derivation kills g2", lambda f: f.delta().apply(f.g2).is_zero()),
+        ("derivation kills g3", lambda f: f.delta().apply(f.g3).is_zero()),
+        _KILLS_H,
+        ("tau is (x1, g2, g3)", lambda f: f.tau_images == (x1, f.g2, f.g3)),
+        _TAU_TRIANGULAR,
+        _TAU_INVERTS,
+        _POTENTIAL_IS_H_AT_ZERO,
+        ("slice potential matches its closed formula", lambda f: counted and p_formula(f)),
+        _TAU_SENDS_POTENTIAL,
+        (
+            "epsilon is the elementary shift of x1 by t times the slice potential",
+            lambda f: f.eps_images == (x1 + t * f.p, x2, x3),
+        ),
+        _AUTOMORPHISM_IS_EXP,
+        _CONJUGATES,
+        ("h is regular at t = 0", lambda f: f.h.is_t_regular()),
+        ("h_limit is h at t = 0", lambda f: f.h.specialize_t(0) == f.h_limit),
+        (
+            "h_limit equals x1^(2l)*(x1*x3 + x2^(l+1))",
+            lambda f: f.h_limit == x1 ** (2 * l) * (x1 * x3 + x2 ** (l + 1)),
+        ),
+        (
+            "h splits into its two leading terms plus an admissible remainder",
+            lambda f: counted and bool(coeffs[l]) and not limit_shape_problems(f.h, l, coeffs[l]),
+        ),
+        (
+            "derivation_at_zero is the derivation at t = 0",
+            lambda f: f.dz_images == tuple(g.specialize_t(0) for g in f.delta_images),
+        ),
+        (
+            "fiber_at_zero is the automorphism at t = 0",
+            lambda f: f.phi().specialize(0) == f.fiber(),
+        ),
+        (
+            "fiber_at_zero is exp(h_limit*delta_zero)",
+            lambda f: f.fiber() == f.delta_zero().exp(f.h_limit),
+        ),
+        (
+            "wildness flags recompute at t = 0",
+            lambda f: f.wild == _wildness_fields(check_wild_at_zero(f.delta(), f.h)),
+        ),
+        ("wildness verdict is wild", lambda f: f.wild.get("verdict") == WILD),
+    ))
 
 
 def _verify_conjugation(doc: dict) -> list[Check]:
-    arity = _field(doc, "arity", int)
-    if arity < 1:
-        raise ParseError("arity must be positive")
-    delta_images = _poly_list_field(doc, "derivation", arity)
-    h = _poly_field(doc, "h", arity)
-    tau_images = _poly_list_field(doc, "tau", arity)
-    tau_inv_images = _poly_list_field(doc, "tau_inv", arity)
-    p = _poly_field(doc, "slice_potential", arity)
-    eps_images = _poly_list_field(doc, "epsilon", arity)
-    phi_images = _poly_list_field(doc, "automorphism", arity)
-
-    tr = _Transcript()
-    delta = _Lazy(lambda: TriangularDerivation(delta_images))
-    tau = _Lazy(lambda: PolyEndo(tau_images))
-    tau_inv = _Lazy(lambda: PolyEndo(tau_inv_images))
-    epsilon = _Lazy(lambda: PolyEndo(eps_images))
-    phi = _Lazy(lambda: PolyEndo(phi_images))
-    variables = [MultiPoly.variable(arity, i) for i in range(1, arity + 1)]
-
-    tr.run("ring mode is Q[t,t^-1]", lambda: doc.get("ring_mode") == RingMode.LAURENT.value)
-    tr.run(
-        "delta(x1) is a unit scalar of Q[t,t^-1]",
-        lambda: delta_images[0].is_constant()
-        and delta_images[0].as_laurent().is_unit(RingMode.LAURENT),
-    )
-    tr.run("derivation kills h", lambda: delta().apply(h).is_zero())
-    tr.run(
-        "tau is x1 followed by the slice images",
-        lambda: tau_images == (variables[0], *delta().kernel_generators()),
-    )
-    tr.run("tau is triangular over Q[t,t^-1]", lambda: tau().is_triangular(RingMode.LAURENT))
-    tr.run("tau and tau_inv are mutually inverse", lambda: tau().verify_inverse_pair(tau_inv()))
-    tr.run(
-        "slice potential is h at x1 = 0",
-        lambda: h.substitute([MultiPoly.zero(arity)] + variables[1:]) == p,
-    )
-    tr.run("tau sends the slice potential to h", lambda: tau().apply(p) == h)
-    tr.run(
-        "epsilon is the elementary shift of x1 by delta(x1) times the slice potential",
-        lambda: eps_images == (variables[0] + delta_images[0] * p, *variables[1:]),
-    )
-    tr.run("automorphism is exp(h*delta)", lambda: phi() == delta().exp(h))
-    tr.run(
-        "tau o epsilon o tau_inv equals the automorphism",
-        lambda: PolyEndo.compose_chain((tau(), epsilon(), tau_inv())) == phi(),
-    )
-    return tr.checks
+    f = _conjugation_fields(doc, _field(doc, "arity", int))
+    return _run(f, (
+        _RING_MODE,
+        (
+            "delta(x1) is a unit scalar of Q[t,t^-1]",
+            lambda f: f.delta_images[0].is_constant()
+            and f.delta_images[0].as_laurent().is_unit(RingMode.LAURENT),
+        ),
+        _KILLS_H,
+        (
+            "tau is x1 followed by the slice images",
+            lambda f: f.tau_images == (f.x[0], *f.delta().kernel_generators()),
+        ),
+        _TAU_TRIANGULAR,
+        _TAU_INVERTS,
+        _POTENTIAL_IS_H_AT_ZERO,
+        _TAU_SENDS_POTENTIAL,
+        (
+            "epsilon is the elementary shift of x1 by delta(x1) times the slice potential",
+            lambda f: f.eps_images == (f.x[0] + f.delta_images[0] * f.p, *f.x[1:]),
+        ),
+        _AUTOMORPHISM_IS_EXP,
+        _CONJUGATES,
+    ))
 
 
 def _verify_wildness(doc: dict) -> list[Check]:
     arity = _field(doc, "arity", int)
     if arity != 3:
         raise ParseError("wildness documents have arity 3")
-    delta_images = _poly_list_field(doc, "derivation", arity)
-    h = _poly_field(doc, "h", arity)
-    flags = _field(doc, "flags", dict)
-    residues = _field(doc, "residues", dict)
-    verdict = _field(doc, "verdict", str)
-
-    tr = _Transcript()
-    delta = _Lazy(lambda: TriangularDerivation(delta_images))
-    report = _Lazy(lambda: check_wild_at_zero(delta(), h))
-
-    tr.run(
-        "derivation and h are regular at t = 0",
-        lambda: all(f.is_t_regular() for f in delta_images) and h.is_t_regular(),
+    f = SimpleNamespace(
+        delta_images=_poly_list_field(doc, "derivation", arity),
+        h=_poly_field(doc, "h", arity),
+        flags=_field(doc, "flags", dict),
+        residues=_field(doc, "residues", dict),
+        verdict=_field(doc, "verdict", str),
     )
-    tr.run(
-        "delta(x1) is a scalar vanishing at t = 0",
-        lambda: delta_images[0].is_constant()
-        and delta_images[0].specialize_t(0).is_zero(),
-    )
-    tr.run("derivation kills h", lambda: delta().apply(h).is_zero())
-    tr.run(
-        "flag f2_residue_nonzero recomputes",
-        lambda: flags.get("f2_residue_nonzero") == report().f2_residue_nonzero,
-    )
-    tr.run(
-        "flag h_residue_not_in_x1 recomputes",
-        lambda: flags.get("h_residue_not_in_x1") == report().h_residue_not_in_x1,
-    )
-    tr.run(
-        "flag derivative_outside_ideal recomputes",
-        lambda: flags.get("derivative_outside_ideal") == report().derivative_outside_ideal,
-    )
-
-    def residues_recompute() -> bool:
-        rep = report()
-        return (
-            residues.get("f2") == str(rep.f2_residue)
-            and residues.get("h") == str(rep.h_residue)
-            and residues.get("derivative") == str(rep.derivative_residue)
-        )
-
-    tr.run("residues recompute", residues_recompute)
-    tr.run("verdict matches the flags", lambda: verdict == report().verdict)
+    f.delta = _Lazy(lambda: TriangularDerivation(f.delta_images))
+    f.report = _Lazy(lambda: check_wild_at_zero(f.delta(), f.h))
+    checks = [
+        (
+            "derivation and h are regular at t = 0",
+            lambda f: all(g.is_t_regular() for g in f.delta_images) and f.h.is_t_regular(),
+        ),
+        (
+            "delta(x1) is a scalar vanishing at t = 0",
+            lambda f: f.delta_images[0].is_constant()
+            and f.delta_images[0].specialize_t(0).is_zero(),
+        ),
+        _KILLS_H,
+        *(
+            (
+                f"flag {flag} recomputes",
+                lambda f, i=i, flag=flag: f.flags.get(flag) == f.report().flags[i],
+            )
+            for i, flag in enumerate(_FLAGS)
+        ),
+        (
+            "residues recompute",
+            lambda f: all(f.residues.get(k) == v for k, v in _residues(f.report()).items()),
+        ),
+        ("verdict matches the flags", lambda f: f.verdict == f.report().verdict),
+    ]
     if "fiber_at_zero" in doc:
-        fiber_images = _poly_list_field(doc, "fiber_at_zero", arity)
-        tr.run(
+        f.fiber_images = _poly_list_field(doc, "fiber_at_zero", arity)
+        checks.append((
             "fiber_at_zero is exp(h*delta) at t = 0",
-            lambda: PolyEndo(fiber_images) == delta().exp(h).specialize(0),
-        )
-    return tr.checks
+            lambda f: PolyEndo(f.fiber_images) == f.delta().exp(f.h).specialize(0),
+        ))
+    return _run(f, checks)
 
 
 def _verify_word(doc: dict) -> list[Check]:
     arity = _field(doc, "arity", int)
-    if arity < 1:
-        raise ParseError("arity must be positive")
     alpha = _rational_field(doc, "alpha")
-    delta_images = _poly_list_field(doc, "derivation", arity)
-    h = _poly_field(doc, "h", arity)
+    f = SimpleNamespace(
+        delta_images=_poly_list_field(doc, "derivation", arity),
+        h=_poly_field(doc, "h", arity),
+    )
     factor_lists = _field(doc, "factors", list)
     factors = [
         _parse_poly_list(lst, arity, f"factors[{j}]") for j, lst in enumerate(factor_lists)
@@ -552,101 +542,111 @@ def _verify_word(doc: dict) -> list[Check]:
     kinds = _field(doc, "factor_kinds", list)
     if len(kinds) != len(factors):
         raise ParseError("factor_kinds and factors have different lengths")
-    fiber_images = _poly_list_field(doc, "fiber", arity)
+    f.fiber_images = _poly_list_field(doc, "fiber", arity)
+    f.delta = _Lazy(lambda: TriangularDerivation(f.delta_images))
+    f.fiber = _Lazy(lambda: PolyEndo(f.fiber_images))
+    f.factors = [_Lazy(lambda imgs=imgs: PolyEndo(imgs)) for imgs in factors]
+    return _run(f, (
+        (
+            "factors compose to the fiber",
+            lambda f: PolyEndo.compose_chain([factor() for factor in f.factors]) == f.fiber(),
+        ),
+        (
+            "fiber is exp(h*delta) at t = alpha",
+            lambda f: f.delta().exp(f.h).specialize(alpha) == f.fiber(),
+        ),
+        *(
+            (
+                f"factor {i + 1} kind recomputes as stated",
+                lambda f, i=i: factor_kind(f.factors[i](), RingMode.POLY) == kinds[i],
+            )
+            for i in range(len(factors))
+        ),
+        (
+            "every factor kind certifies tameness",
+            lambda f: all(kind in _TAME_KINDS for kind in kinds),
+        ),
+    ))
 
-    tr = _Transcript()
-    delta = _Lazy(lambda: TriangularDerivation(delta_images))
-    fiber = _Lazy(lambda: PolyEndo(fiber_images))
-    factor_endos = [_Lazy(lambda imgs=imgs: PolyEndo(imgs)) for imgs in factors]
 
-    def composes() -> bool:
-        return PolyEndo.compose_chain([lazy() for lazy in factor_endos]) == fiber()
-
-    tr.run("factors compose to the fiber", composes)
-    tr.run(
-        "fiber is exp(h*delta) at t = alpha",
-        lambda: delta().exp(h).specialize(alpha) == fiber(),
-    )
-    for i, lazy in enumerate(factor_endos):
-        tr.run(
-            f"factor {i + 1} kind recomputes as stated",
-            lambda i=i, lazy=lazy: factor_kind(lazy(), RingMode.POLY) == kinds[i],
-        )
-    tr.run(
-        "every factor kind certifies tameness",
-        lambda: all(kind in _TAME_KINDS for kind in kinds),
-    )
-    return tr.checks
+# compose_commutator keeps the word small only when delta kills h and the
+# factors invert (see its docstring); without them composing can swell far
+# beyond the answer, so the word is not composed when either failed
+_WORD_PREMISES = ("derivation kills h", "gamma and rho invert exactly")
 
 
 def _verify_stabilization(doc: dict) -> list[Check]:
     arity = _field(doc, "arity", int)
-    extended_arity = _field(doc, "extended_arity", int)
-    if arity < 1 or extended_arity != arity + 1:
+    m = _field(doc, "extended_arity", int)
+    if m != arity + 1:
         raise ParseError("extended_arity must be arity + 1")
-    m = extended_arity
-    delta_images = _poly_list_field(doc, "derivation", arity)
-    h = _poly_field(doc, "h", arity)
-    base_images = _poly_list_field(doc, "base", arity)
-    ext_images = _poly_list_field(doc, "extension", m)
-    gamma_images = _poly_list_field(doc, "gamma", m)
-    rho_images = _poly_list_field(doc, "rho", m)
-    factor_count = _field(doc, "factor_count", int)
-
-    tr = _Transcript()
-    delta = _Lazy(lambda: TriangularDerivation(delta_images))
-    extended_delta = _Lazy(lambda: delta().extend_arity(m))
-    base = _Lazy(lambda: PolyEndo(base_images))
-    extension = _Lazy(lambda: PolyEndo(ext_images))
-    gamma = _Lazy(lambda: PolyEndo(gamma_images))
-    rho = _Lazy(lambda: PolyEndo(rho_images))
-    new_var = MultiPoly.variable(m, m)
-
-    def pieces_lazy() -> tuple[PolyEndo, PolyEndo]:
-        h_lift = h.extend_arity(m)
-        gamma_inv = PolyEndo(gamma().images[:-1] + (new_var - h_lift,))
-        rho_inv = extended_delta().exp(-new_var)
-        return gamma_inv, rho_inv
-
-    pieces = _Lazy(pieces_lazy)
-    word = _Lazy(lambda: compose_commutator(pieces()[0], pieces()[1], gamma(), rho()))
-
-    tr.run("derivation kills h", lambda: delta().apply(h).is_zero())
-    tr.run("base is exp(h*delta)", lambda: base() == delta().exp(h))
-    tr.run(
-        "extension is the base with the new variable fixed",
-        lambda: extension() == base().extend_arity(m),
+    f = SimpleNamespace(
+        delta_images=_poly_list_field(doc, "derivation", arity),
+        h=_poly_field(doc, "h", arity),
+        base_images=_poly_list_field(doc, "base", arity),
+        ext_images=_poly_list_field(doc, "extension", m),
+        gamma_images=_poly_list_field(doc, "gamma", m),
+        rho_images=_poly_list_field(doc, "rho", m),
+        factor_count=_field(doc, "factor_count", int),
     )
-    tr.run(
-        "gamma shifts the new variable by h",
-        lambda: gamma_images
-        == tuple(MultiPoly.variable(m, i) for i in range(1, m)) + (new_var + h.extend_arity(m),),
+    f.delta = _Lazy(lambda: TriangularDerivation(f.delta_images))
+    f.base = _Lazy(lambda: PolyEndo(f.base_images))
+    f.extension = _Lazy(lambda: PolyEndo(f.ext_images))
+    f.gamma = _Lazy(lambda: PolyEndo(f.gamma_images))
+    f.rho = _Lazy(lambda: PolyEndo(f.rho_images))
+    # (gamma_inv, rho_inv, gamma, rho): the certificate derives the inverses
+    f.word = _Lazy(
+        lambda: StabilizationCertificate(
+            f.delta(), f.h, f.base(), f.extension(), f.gamma(), f.rho()
+        ).factor_word()
     )
-    tr.run(
-        "rho is exp of the new variable against the extended derivation",
-        lambda: rho() == extended_delta().exp(new_var),
-    )
-    tr.run(
-        "gamma and rho invert exactly",
-        lambda: gamma().verify_inverse_pair(pieces()[0]) and rho().verify_inverse_pair(pieces()[1]),
-    )
-    tr.run("the commutator word composes to the extension", lambda: word() == extension())
+    f.composed = _Lazy(lambda: compose_commutator(*f.word()))
+    x = [MultiPoly.variable(m, i) for i in range(1, m + 1)]
 
-    regular = all(f.is_t_regular() for f in delta_images) and h.is_t_regular()
-    if regular:
-        for alpha in (0, 1, -1):
-            tr.run(
+    def inverts(f) -> bool:
+        gamma_inv, rho_inv, gamma, rho = f.word()
+        return gamma.verify_inverse_pair(gamma_inv) and rho.verify_inverse_pair(rho_inv)
+
+    checks = [
+        _KILLS_H,
+        ("base is exp(h*delta)", lambda f: f.base() == f.delta().exp(f.h)),
+        (
+            "extension is the base with the new variable fixed",
+            lambda f: f.extension() == f.base().extend_arity(m),
+        ),
+        (
+            "gamma shifts the new variable by h",
+            lambda f: f.gamma_images == (*x[:-1], x[-1] + f.h.extend_arity(m)),
+        ),
+        (
+            "rho is exp of the new variable against the extended derivation",
+            lambda f: f.rho() == f.delta().extend_arity(m).exp(x[-1]),
+        ),
+        ("gamma and rho invert exactly", inverts),
+        (
+            "the commutator word composes to the extension",
+            lambda f: f.composed() == f.extension(),
+            *_WORD_PREMISES,
+        ),
+    ]
+    if all(g.is_t_regular() for g in f.delta_images) and f.h.is_t_regular():
+        checks += [
+            (
                 f"the word specializes at t = {alpha}",
-                lambda alpha=alpha: word().specialize(alpha) == extension().specialize(alpha),
+                lambda f, alpha=alpha: f.composed().specialize(alpha)
+                == f.extension().specialize(alpha),
+                *_WORD_PREMISES,
             )
-    tr.run("factor_count is 4", lambda: factor_count == 4)
+            for alpha in (0, 1, -1)
+        ]
+    checks.append(("factor_count is 4", lambda f: f.factor_count == 4))
     if "length_bounds" in doc:
-        bounds = _field(doc, "length_bounds", dict)
-        tr.run(
+        f.bounds = _field(doc, "length_bounds", dict)
+        checks.append((
             "stated length bounds are (3, 4)",
-            lambda: bounds.get("nonzero_alpha") == 3 and bounds.get("zero_alpha") == 4,
-        )
-    return tr.checks
+            lambda f: f.bounds.get("nonzero_alpha") == 3 and f.bounds.get("zero_alpha") == 4,
+        ))
+    return _run(f, checks)
 
 
 _VERIFIERS = {
@@ -669,7 +669,7 @@ def dumps(doc: dict) -> str:
 def loads(text: str) -> dict:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer too long for int()
         raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError("a document must be a JSON object")

@@ -7,7 +7,6 @@ are rewritten through phi.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -108,18 +107,12 @@ class PolyEndo:
 
     # ------------------------------------------------------------------ shape
 
-    def linear_part(self) -> list[list[LaurentPoly]]:
-        """Matrix of degree-one coefficients, rows indexed by images."""
+    def _split(self, i: int) -> tuple[LaurentPoly, MultiPoly]:
+        """(u, r) with image i = u*x_i + r, u the coefficient of x_i alone."""
         n = self.arity
-        unit = [tuple(1 if j == k else 0 for j in range(n)) for k in range(n)]
-        return [[img.coefficient(unit[j]) for j in range(n)] for img in self.images]
-
-    def is_affine(self) -> bool:
-        """Total degree at most one in every image, invertible linear part."""
-        for img in self.images:
-            if not img.is_zero() and img.total_degree() > 1:
-                return False
-        return not _det(self.linear_part()).is_zero()
+        unit_vec = tuple(1 if j == i - 1 else 0 for j in range(n))
+        lead = self.images[i - 1].coefficient(unit_vec)
+        return lead, self.images[i - 1] - MultiPoly.monomial(n, unit_vec, lead)
 
     def is_triangular(self, mode: RingMode = RingMode.LAURENT) -> bool:
         """x_i maps to u_i*x_i + (terms in x1..x_{i-1}) with u_i a unit.
@@ -135,15 +128,9 @@ class PolyEndo:
         """
         n = self.arity
         for i in range(1, n + 1):
-            img = self.images[i - 1]
-            unit_vec = tuple(1 if j == i - 1 else 0 for j in range(n))
-            lead = img.coefficient(unit_vec)
-            if not lead.is_unit(mode):
+            lead, rest = self._split(i)
+            if not lead.is_unit(mode) or any(rest.involves(j) for j in range(i, n + 1)):
                 return False
-            rest = img - MultiPoly.monomial(n, unit_vec, lead)
-            for key, _ in rest.terms():
-                if any(key[j] for j in range(i - 1, n)):
-                    return False
         return True
 
     def is_elementary(self) -> bool:
@@ -175,19 +162,31 @@ class PolyEndo:
     ) -> tuple[int, ...] | None:
         """A variable order making the map triangular, or None.
 
-        Returns a permutation p of 1..n such that conjugating by the linear
-        map x_i -> x_{p_i} is triangular in the standard order.  Arity stays
-        small here (at most five), so trying every order is fine.
+        Returns the first permutation p of 1..n, in lexicographic order, such
+        that conjugating by the linear map x_i -> x_{p_i} is triangular in
+        the standard order: image p_k must be u*x_{p_k} plus terms in
+        x_{p_1}..x_{p_{k-1}}.  So an order exists exactly when every image i
+        is u*x_i + r_i with u a unit and r_i free of x_i, and the graph with
+        an edge j -> i whenever r_i involves x_j has no cycle; the orders are
+        then its topological orders, and taking the smallest ready variable
+        at each step gives the first.  O(n^2) variable tests.
         """
-        for perm in itertools.permutations(range(1, self.arity + 1)):
-            inverse = [0] * self.arity
-            for i, p in enumerate(perm):
-                inverse[p - 1] = i + 1
-            front = PolyEndo.permutation(self.arity, inverse)
-            back = PolyEndo.permutation(self.arity, perm)
-            if front.compose(self).compose(back).is_triangular(mode):
-                return perm
-        return None
+        n = self.arity
+        needs = []
+        for i in range(1, n + 1):
+            lead, rest = self._split(i)
+            if not lead.is_unit(mode) or rest.involves(i):
+                return None
+            needs.append({j for j in range(1, n + 1) if rest.involves(j)})
+        order: list[int] = []
+        placed: set[int] = set()
+        while len(order) < n:
+            ready = [i for i in range(1, n + 1) if i not in placed and needs[i - 1] <= placed]
+            if not ready:
+                return None  # every variable left lies on or after a cycle
+            order.append(ready[0])
+            placed.add(ready[0])
+        return tuple(order)
 
     # ---------------------------------------------------------------- inverses
 
@@ -203,19 +202,14 @@ class PolyEndo:
         n = self.arity
         inverse: list[MultiPoly] = []
         for i in range(1, n + 1):
-            img = self.images[i - 1]
-            unit_vec = tuple(1 if j == i - 1 else 0 for j in range(n))
-            lead = img.coefficient(unit_vec)
+            lead, rest = self._split(i)
             if not lead.is_unit(mode):
                 raise NotTriangular(
                     f"image {i} has non-unit leading coefficient {lead} in {mode.value}"
                 )
-            rest = img - MultiPoly.monomial(n, unit_vec, lead)
-            for key, _ in rest.terms():
-                if any(key[j] for j in range(i - 1, n)):
-                    raise NotTriangular(
-                        f"image {i} involves x{1 + next(j for j in range(i - 1, n) if key[j])}"
-                    )
+            for j in range(i, n + 1):
+                if rest.involves(j):
+                    raise NotTriangular(f"image {i} involves x{j}")
             # x_i = (phi(x_i) - rest) / lead, then push the earlier inverse
             # images through rest.
             filler = inverse + [
@@ -241,18 +235,3 @@ class PolyEndo:
 
     def __repr__(self) -> str:
         return f"PolyEndo{self}"
-
-
-def _det(matrix: list[list[LaurentPoly]]) -> LaurentPoly:
-    n = len(matrix)
-    if n == 1:
-        return matrix[0][0]
-    total = LaurentPoly.zero()
-    sign = 1
-    for j in range(n):
-        entry = matrix[0][j]
-        if not entry.is_zero():
-            minor = [row[:j] + row[j + 1 :] for row in matrix[1:]]
-            total = total + entry * _det(minor) * sign
-        sign = -sign
-    return total

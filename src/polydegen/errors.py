@@ -34,7 +34,7 @@ class HypothesisViolation(PolydegenError, ValueError):
 
 
 class CheckFailed(PolydegenError, RuntimeError):
-    """An internal consistency check that should never fail did fail."""
+    """A document about to be emitted failed one of its own identities."""
 
 
 class ParseError(PolydegenError, ValueError):

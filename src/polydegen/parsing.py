@@ -41,7 +41,15 @@ from functools import cached_property
 from itertools import islice
 from math import lcm
 
-from ._kernel import MAX_EXPONENT, canonical, guard_mask, monomial_power, t_key, variable_key
+from ._kernel import (
+    MAX_ARITY,
+    MAX_EXPONENT,
+    canonical,
+    guard_mask,
+    monomial_power,
+    t_key,
+    variable_key,
+)
 from .errors import ExponentOverflow, NonUnit, ParseError
 from .laurent import LaurentPoly
 from .multipoly import MultiPoly
@@ -309,7 +317,7 @@ def parse_poly(text: str, arity: int | None = None) -> MultiPoly:
     """Parse a polynomial in x1..xn over Q[t,t^-1].
 
     When arity is omitted it is inferred as the largest variable index that
-    occurs (at least 1).
+    occurs (at least 1).  An arity outside 1..MAX_ARITY is a ParseError.
 
     >>> print(parse_poly('(-1/2*t^-1)*x1^2 + x2'))
     (-1/2*t^-1)*x1^2 + x2
@@ -323,6 +331,8 @@ def parse_poly(text: str, arity: int | None = None) -> MultiPoly:
             if not _KNOWN_RE.match(tok):
                 parser.unexpected(i, "unexpected token")
         parser.arity = max([1, *(_digits(tok[1:]) for tok in set(tokens) if tok[0] == "x")])
+    if not 1 <= parser.arity <= MAX_ARITY:
+        raise ParseError(f"arity {_clip(str(parser.arity))} is outside 1..{MAX_ARITY}")
     try:
         result = parser.expr()
     except ExponentOverflow as exc:

@@ -3,12 +3,14 @@
 The divisibility oracle decides whether a quotient exists by solving a
 dense linear system for the quotient coefficients with Gaussian
 elimination over Fraction. It shares no code with the elimination-based
-`exact_divide` it is checking.
+`exact_divide` it is checking.  The variable-order oracle tries all n!
+orders where the library walks a dependency graph.
 """
 
 import itertools
 from fractions import Fraction
 
+from polydegen.endo import PolyEndo
 from polydegen.laurent import LaurentPoly
 from polydegen.multipoly import MultiPoly
 
@@ -171,3 +173,23 @@ def ref_decode(terms, arity, slot_bits):
     return {
         ref_unpack(key, arity, slot_bits): Fraction(num, terms.den) for key, num in terms.items()
     }
+
+
+# --------------------------------------------------------- variable orders
+
+
+def triangularizing_order_by_search(endo, mode):
+    """The first permutation p, in lexicographic order, for which
+    conjugating endo by x_i -> x_{p_i} gives a triangular map; None if
+    there is none.  Tries every one of the n! orders.
+    """
+    n = endo.arity
+    for perm in itertools.permutations(range(1, n + 1)):
+        inverse = [0] * n
+        for i, p in enumerate(perm):
+            inverse[p - 1] = i + 1
+        front = PolyEndo.permutation(n, inverse)
+        back = PolyEndo.permutation(n, perm)
+        if front.compose(endo).compose(back).is_triangular(mode):
+            return perm
+    return None

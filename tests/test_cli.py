@@ -1,5 +1,6 @@
 """End-to-end command line behavior and exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -7,7 +8,10 @@ import time
 
 import pytest
 
+from conftest import family
+from polydegen.certificates import build_conjugation
 from polydegen.cli import main
+from polydegen.documents import conjugation_document, dumps
 
 
 def run(args, capsys):
@@ -119,6 +123,60 @@ def test_smith_document(tmp_path, capsys):
     assert doc["extended_arity"] == 4
     assert doc["length_bounds"]["zero_alpha"] == 4
     assert run(["verify", "--in", str(out)], capsys)[0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv, prefix",
+    [
+        (["family", "--l", "2"], "04ee3c8b6af4a5b1"),
+        (["specialize", "--l", "3", "--alpha=5/3"], "781f842c09e3b73d"),
+        (["specialize", "--l", "3", "--alpha=0"], "0507e510cbde191e"),
+        (["smith", "--l", "2"], "7c3d73d900805dcb"),
+        (None, "ee83639c3b24d574"),
+    ],
+    ids=["family", "specialize nonzero", "specialize zero", "smith", "conjugation"],
+)
+def test_output_matches_pinned_digests(capsys, argv, prefix):
+    # SHA-256 of each payload as emitted by earlier versions: the identity
+    # texts, their order and every rendered polynomial stay byte-identical
+    if argv is None:
+        fam = family(1)
+        payload = dumps(conjugation_document(build_conjugation(fam.delta, fam.h)))
+    else:
+        code, payload, _ = run(argv, capsys)
+        assert code == 0
+    assert hashlib.sha256(payload.encode("utf-8")).hexdigest().startswith(prefix)
+
+
+@pytest.mark.parametrize("index", [0, 1])
+def test_verify_fails_fast_on_a_perturbed_stabilization_derivation(tmp_path, capsys, index):
+    # the word is not composed once "derivation kills h" or "gamma and rho
+    # invert exactly" has failed, since without them it swells
+    doc = json.loads(run(["smith", "--l", "2"], capsys)[1])
+    doc["derivation"][index] += " + 1"
+    bad = tmp_path / "perturbed.json"
+    bad.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, stdout, _ = run(["verify", "--in", str(bad)], capsys)
+    assert code == 1
+    assert time.perf_counter() - start < 2.0
+    assert "FAIL  the commutator word composes to the extension" in stdout
+
+
+@pytest.mark.parametrize(
+    "arity, message",
+    [("1000", "outside 1..64"), ("1000000000000", "outside 1..64"), ("9" * 5000, "invalid JSON")],
+    ids=["1000", "10^12", "5000 digits"],
+)
+def test_verify_rejects_a_huge_arity(tmp_path, capsys, arity, message):
+    fam = family(1)
+    text = dumps(conjugation_document(build_conjugation(fam.delta, fam.h)))
+    bad = tmp_path / "huge_arity.json"
+    bad.write_text(text.replace('"arity": 3,', f'"arity": {arity},'))
+    code, _, err = run(["verify", "--in", str(bad)], capsys)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err and len(err) < 400
 
 
 def test_verify_flags_tampered_document(tmp_path, capsys):

@@ -1,12 +1,15 @@
 """Polynomial endomorphisms: composition, triangularity, inversion."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from conftest import rand_poly
+from conftest import rand_poly, rand_rational
+from oracles import triangularizing_order_by_search
 from polydegen import parse_poly
+from polydegen.certificates import OPAQUE, REORDERED, factor_kind
 from polydegen.endo import PolyEndo
 from polydegen.errors import ArityMismatch, NotTriangular
 from polydegen.laurent import RingMode
@@ -81,14 +84,6 @@ def test_permutation_and_reversal():
         PolyEndo.permutation(3, (1, 1, 2))
 
 
-def test_linear_part_and_affine():
-    aff = endo("x1 + x2 + 1", "x2 - 1")
-    assert aff.is_affine()
-    assert not endo("x1^2", "x2").is_affine()
-    # degenerate linear part is not invertible, hence not affine
-    assert not endo("x1 + x2", "x1 + x2").is_affine()
-
-
 def test_triangular_detection():
     tri = endo("2*x1 + 1", "x2 + x1^5", "x3 + x1*x2")
     assert tri.is_triangular(RingMode.LAURENT)
@@ -123,6 +118,52 @@ def test_triangular_after_reordering():
     assert not endo("x1 + x2", "x2 + x1", "x3").is_triangular_up_to_permutation(
         RingMode.LAURENT
     )
+
+
+def _random_reorderable(rng, n):
+    """u_i*x_i plus terms in variables earlier in a random order, then with
+    some images given a term that may break the order: a later variable, a
+    cycle, or the image's own variable; some u_i are t or 0."""
+    x = [MultiPoly.variable(n, i) for i in range(1, n + 1)]
+    t = MultiPoly.parameter(n)
+    order = rng.sample(range(n), n)
+    images = [None] * n
+    for k, i in enumerate(order):
+        unit = rng.choice((1, -1, 2, Fraction(1, 2), 3, t, 0)) if rng.random() < 0.3 else 1
+        img = x[i] * unit
+        pool = [order[j] for j in range(k)]
+        if rng.random() < 0.3:
+            pool = pool + [rng.randrange(n)]
+        for _ in range(rng.randint(0, 2)):
+            if pool:
+                term = x[rng.choice(pool)] ** rng.randint(1, 2) * rand_rational(rng)
+                img = img + term * (t if rng.random() < 0.2 else 1)
+        images[i] = img
+    return PolyEndo(tuple(images))
+
+
+def test_reordering_matches_the_permutation_search():
+    rng = random.Random(83)
+    outcomes = set()
+    for _ in range(60):
+        e = _random_reorderable(rng, rng.randint(1, 5))
+        for mode in (RingMode.LAURENT, RingMode.POLY):
+            expected = triangularizing_order_by_search(e, mode)
+            assert e.is_triangular_up_to_permutation(mode) == expected, (e, mode)
+            outcomes.add(expected is None)
+    assert outcomes == {True, False}
+
+
+def test_large_factors_are_classified_fast():
+    n = 9
+    x = [MultiPoly.variable(n, i) for i in range(1, n + 1)]
+    cycle = PolyEndo(tuple(x[i] + x[(i + 1) % n] ** 2 for i in range(n)))
+    chain = PolyEndo(tuple(x[i] + x[i + 1] ** 2 for i in range(n - 1)) + (x[-1],))
+    start = time.perf_counter()
+    assert factor_kind(cycle, RingMode.POLY) == OPAQUE
+    assert factor_kind(chain, RingMode.POLY) == REORDERED
+    assert chain.is_triangular_up_to_permutation(RingMode.POLY) == tuple(range(n, 0, -1))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_invert_triangular():

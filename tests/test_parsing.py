@@ -73,6 +73,11 @@ def test_malformed_inputs():
     for bad in ("x1 $ x99999999999", "x99999999999 + 1;"):
         with pytest.raises(ParseError, match="unexpected character"):
             parse_poly(bad)
+    # a given or inferred arity is bounded before it sizes the keys
+    for text, arity in (("x2345678901234567890", None), ("x1", 0), ("x1", 65)):
+        with pytest.raises(ParseError, match="outside 1..64"):
+            parse_poly(text, arity)
+    assert parse_poly("x64") == MultiPoly.variable(64, 64)
 
 
 def test_arity_too_small():
