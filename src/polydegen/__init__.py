@@ -35,9 +35,8 @@ from .errors import (
     ZeroPolynomial,
 )
 from .family import FamilyInstance, build_family, slice_coefficients
-from .laurent import LaurentPoly, Rational, RingMode
-from .multipoly import MultiPoly
-from .parsing import parse_laurent, parse_poly, parse_rational
+from .multipoly import MultiPoly, RingMode
+from .parsing import parse_poly, parse_rational
 
 __version__ = "0.1.0"
 
@@ -49,7 +48,6 @@ __all__ = [
     "FamilyInstance",
     "HypothesisViolation",
     "KernelViolation",
-    "LaurentPoly",
     "MultiPoly",
     "NonUnit",
     "NotTriangular",
@@ -57,7 +55,6 @@ __all__ = [
     "PoleAtZero",
     "PolyEndo",
     "PolydegenError",
-    "Rational",
     "RingMode",
     "StabilizationCertificate",
     "TamenessWord",
@@ -70,7 +67,6 @@ __all__ = [
     "check_wild_at_zero",
     "factor_kind",
     "kernel_backend",
-    "parse_laurent",
     "parse_poly",
     "parse_rational",
     "slice_coefficients",

@@ -13,8 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ArityMismatch, KernelViolation, NonUnit, NotTriangular
-from .laurent import LaurentPoly, RingMode
-from .multipoly import MultiPoly
+from .multipoly import MultiPoly, RingMode
 
 # Triangularity bounds every nilpotency index that can occur here by a
 # product of per-variable degrees; anything past this cap is a logic error,
@@ -26,7 +25,7 @@ _NILPOTENCY_CAP = 10_000
 class TriangularDerivation:
     """The derivation sending x_i to images[i-1].
 
-    >>> t = MultiPoly.constant(3, LaurentPoly.t_power(1))
+    >>> t = MultiPoly.parameter(3)
     >>> x1 = MultiPoly.variable(3, 1)
     >>> x2 = MultiPoly.variable(3, 2)
     >>> delta = TriangularDerivation((t, x1, -2 * x2))
@@ -69,7 +68,7 @@ class TriangularDerivation:
     def nilpotency_exponent(self, poly: MultiPoly) -> int:
         """Smallest k with delta^k(poly) = 0.
 
-        >>> t = MultiPoly.constant(3, LaurentPoly.t_power(1))
+        >>> t = MultiPoly.parameter(3)
         >>> x1 = MultiPoly.variable(3, 1)
         >>> x2 = MultiPoly.variable(3, 2)
         >>> delta = TriangularDerivation((t, x1, -2 * x2))
@@ -94,7 +93,7 @@ class TriangularDerivation:
         sum_k h^k delta^k(x_i) / k!, and the result is returned as a
         PolyEndo.
 
-        >>> t = MultiPoly.constant(3, LaurentPoly.t_power(1))
+        >>> t = MultiPoly.parameter(3)
         >>> x1 = MultiPoly.variable(3, 1)
         >>> x2 = MultiPoly.variable(3, 2)
         >>> delta = TriangularDerivation((t, x1, -2 * x2))
@@ -137,7 +136,7 @@ class TriangularDerivation:
         is sum_k delta^k(poly)/k! * (-x1/f1)^k, which kills x1, fixes the
         kernel pointwise, and is a ring homomorphism onto the kernel.
 
-        >>> t = MultiPoly.constant(3, LaurentPoly.t_power(1))
+        >>> t = MultiPoly.parameter(3)
         >>> x1 = MultiPoly.variable(3, 1)
         >>> x2 = MultiPoly.variable(3, 2)
         >>> delta = TriangularDerivation((t, x1, -2 * x2))
@@ -150,10 +149,9 @@ class TriangularDerivation:
         f1 = self.images[0]
         if not f1.is_constant():
             raise NonUnit("delta(x1) must be a scalar to define the slice")
-        f1_scalar = f1.as_laurent()
-        if not f1_scalar.is_unit(RingMode.LAURENT):
-            raise NonUnit(f"delta(x1) = {f1_scalar} is not a unit of Q[t,t^-1]")
-        ratio = MultiPoly.monomial(n, (1,) + (0,) * (n - 1), f1_scalar.unit_inverse(RingMode.LAURENT))
+        if not f1.is_unit(RingMode.LAURENT):
+            raise NonUnit(f"delta(x1) = {f1} is not a unit of Q[t,t^-1]")
+        ratio = MultiPoly.variable(n, 1) * f1**-1
         total = poly
         term = poly
         power = MultiPoly.one(n)

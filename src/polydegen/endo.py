@@ -12,8 +12,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import ArityMismatch, NotTriangular
-from .laurent import LaurentPoly, RingMode
-from .multipoly import MultiPoly
+from .multipoly import MultiPoly, RingMode
 
 
 @dataclass(frozen=True)
@@ -48,18 +47,6 @@ class PolyEndo:
     def identity(cls, arity: int) -> PolyEndo:
         return cls(tuple(MultiPoly.variable(arity, i) for i in range(1, arity + 1)))
 
-    @classmethod
-    def permutation(cls, arity: int, perm: Sequence[int]) -> PolyEndo:
-        """The linear map x_i -> x_perm[i-1] for a permutation of 1..n."""
-        if sorted(perm) != list(range(1, arity + 1)):
-            raise ValueError(f"{perm} is not a permutation of 1..{arity}")
-        return cls(tuple(MultiPoly.variable(arity, p) for p in perm))
-
-    @classmethod
-    def reversal(cls, arity: int) -> PolyEndo:
-        """The involution x_i -> x_{n+1-i}."""
-        return cls.permutation(arity, range(arity, 0, -1))
-
     # ------------------------------------------------------------- application
 
     def apply(self, poly: MultiPoly) -> MultiPoly:
@@ -91,9 +78,6 @@ class PolyEndo:
             result = result.compose(factor)
         return result
 
-    def is_identity(self) -> bool:
-        return self == PolyEndo.identity(self.arity)
-
     def specialize(self, alpha: int | Fraction) -> PolyEndo:
         return PolyEndo(tuple(img.specialize_t(alpha) for img in self.images))
 
@@ -107,12 +91,12 @@ class PolyEndo:
 
     # ------------------------------------------------------------------ shape
 
-    def _split(self, i: int) -> tuple[LaurentPoly, MultiPoly]:
-        """(u, r) with image i = u*x_i + r, u the coefficient of x_i alone."""
+    def _split(self, i: int) -> tuple[MultiPoly, MultiPoly]:
+        """(u, r) with image i = u*x_i + r, u the scalar coefficient of x_i alone."""
         n = self.arity
         unit_vec = tuple(1 if j == i - 1 else 0 for j in range(n))
         lead = self.images[i - 1].coefficient(unit_vec)
-        return lead, self.images[i - 1] - MultiPoly.monomial(n, unit_vec, lead)
+        return lead, self.images[i - 1] - lead * MultiPoly.variable(n, i)
 
     def is_triangular(self, mode: RingMode = RingMode.LAURENT) -> bool:
         """x_i maps to u_i*x_i + (terms in x1..x_{i-1}) with u_i a unit.
@@ -216,11 +200,7 @@ class PolyEndo:
                 MultiPoly.variable(n, j) for j in range(i, n + 1)
             ]
             shifted = rest.substitute(filler)
-            inv_lead = lead.unit_inverse(mode)
-            inverse.append(
-                (MultiPoly.variable(n, i) - shifted)
-                * MultiPoly.constant(n, inv_lead)
-            )
+            inverse.append((MultiPoly.variable(n, i) - shifted) * lead**-1)
         return PolyEndo(tuple(inverse))
 
     def verify_inverse_pair(self, other: PolyEndo) -> bool:

@@ -10,7 +10,7 @@ class ArityMismatch(PolydegenError, ValueError):
 
 
 class ZeroPolynomial(PolydegenError, ValueError):
-    """A degree or valuation was requested for the zero element."""
+    """A degree was requested for the zero polynomial."""
 
 
 class PoleAtZero(PolydegenError, ArithmeticError):

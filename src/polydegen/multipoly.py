@@ -6,10 +6,10 @@ int packing the (nonnegative) variable exponents e1..en together with the
 exponent of t, which may be negative, and each value is an integer numerator
 over a denominator shared by the whole polynomial.  Folding t into the key
 keeps multiplication a single merge loop of int additions and int products;
-see :mod:`polydegen._kernel` for the layout.  The public accessors
-(:meth:`MultiPoly.terms`, :meth:`MultiPoly.coefficient`,
-:meth:`MultiPoly.laurent_terms`) decode keys to exponent tuples and values to
-``Fraction`` or :class:`LaurentPoly`.
+see :mod:`polydegen._kernel` for the layout.  The public accessor
+:meth:`MultiPoly.terms` decodes keys to exponent tuples and values to
+``Fraction``.  A scalar of Q[t,t^-1] is a constant ``MultiPoly``, one in
+which no variable occurs; :meth:`MultiPoly.coefficient` returns one.
 
 Variables are numbered from 1, matching the text form x1, x2, ...  The
 monomial order used for rendering and for division is graded lexicographic
@@ -18,20 +18,30 @@ with x1 > x2 > ... > xn, higher total degree first.
 
 from __future__ import annotations
 
+import enum
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
-from typing import Iterator, Mapping, Sequence, Union
+from math import gcd, lcm
+from typing import Iterator, Mapping, Sequence
 
 from . import _kernel as K
 from .errors import ArityMismatch, ExponentOverflow, NonUnit, PoleAtZero, ZeroPolynomial
-from .laurent import LaurentPoly, RingMode, _make as _laurent_make, format_rational
-
-PolyLike = Union[int, Fraction, LaurentPoly, "MultiPoly"]
 
 _W = K.SLOT_BITS
 _SLOT = K.SLOT_MASK
 _guard = lru_cache(maxsize=None)(K.guard_mask)
+
+
+class RingMode(enum.Enum):
+    """Which base ring the coefficients are read in.
+
+    The distinction only matters for unit tests and inverses: the units of
+    Q[t] are the nonzero rationals, the units of Q[t,t^-1] are the single
+    terms c*t^k with c a nonzero rational.
+    """
+
+    POLY = "Q[t]"
+    LAURENT = "Q[t,t^-1]"
 
 
 class MultiPoly:
@@ -91,15 +101,8 @@ class MultiPoly:
         return cls.constant(arity, 1)
 
     @classmethod
-    def constant(cls, arity: int, value: int | Fraction | LaurentPoly) -> MultiPoly:
-        """Embed a scalar, so the variables do not occur.
-
-        >>> print(MultiPoly.constant(2, LaurentPoly({-1: 1, 2: 3})))
-        (t^-1 + 3*t^2)
-        """
-        if isinstance(value, LaurentPoly):
-            shift = arity * _W
-            return cls._raw(arity, _from_fractions({e << shift: c for e, c in value.items()}))
+    def constant(cls, arity: int, value: int | Fraction) -> MultiPoly:
+        """Embed a rational, so the variables do not occur."""
         c = Fraction(value)
         if not c:
             return cls.zero(arity)
@@ -116,29 +119,6 @@ class MultiPoly:
     def parameter(cls, arity: int) -> MultiPoly:
         """The parameter t as a constant polynomial."""
         return cls._raw(arity, K.make({K.t_key(arity): 1}))
-
-    @classmethod
-    def monomial(
-        cls,
-        arity: int,
-        powers: Sequence[int],
-        coeff: int | Fraction | LaurentPoly = 1,
-    ) -> MultiPoly:
-        """coeff * x1^p1 * ... * xn^pn.
-
-        >>> print(MultiPoly.monomial(3, (2, 0, 1), Fraction(-1, 3)))
-        -1/3*x1^2*x3
-        """
-        if len(powers) != arity:
-            raise ArityMismatch(f"{len(powers)} powers for arity {arity}")
-        base = cls.constant(arity, coeff)
-        xs = tuple(int(p) for p in powers)
-        if any(p < 0 for p in xs):
-            raise ValueError("variable exponents must be nonnegative")
-        _check_bound(xs)
-        shift = _pack(xs)
-        terms = base._terms
-        return cls._raw(arity, K.make({key + shift: c for key, c in terms.items()}, terms.den))
 
     # ---------------------------------------------------------------- queries
 
@@ -164,7 +144,7 @@ class MultiPoly:
     def _coerce_eq(self, other):
         if isinstance(other, MultiPoly):
             return other
-        if isinstance(other, (int, Fraction, LaurentPoly)):
+        if isinstance(other, (int, Fraction)):
             return MultiPoly.constant(self.arity, other)
         return NotImplemented
 
@@ -178,57 +158,43 @@ class MultiPoly:
         for key, c in self._terms.items():
             yield _powers(key, n) + (key >> t_shift,), Fraction(c, den)
 
-    def laurent_terms(self) -> list[tuple[tuple, LaurentPoly]]:
-        """Terms grouped by variable monomial, graded-lex descending.
-
-        Each entry is ((e1,...,en), coefficient in Q[t,t^-1]).
-        """
-        n, den = self.arity, self._terms.den
-        t_shift = n * _W
-        low_mask = (1 << t_shift) - 1
-        grouped: dict[int, dict[int, Fraction]] = {}
-        for key, c in self._terms.items():
-            grouped.setdefault(key & low_mask, {})[key >> t_shift] = Fraction(c, den)
-        ordered = sorted(grouped, key=lambda low: (_degree(low), low), reverse=True)
-        return [(_powers(low, n), _laurent_make(grouped[low])) for low in ordered]
-
-    def coefficient(self, powers: Sequence[int]) -> LaurentPoly:
-        """The Q[t,t^-1] coefficient of x1^p1*...*xn^pn.
+    def coefficient(self, powers: Sequence[int]) -> MultiPoly:
+        """The Q[t,t^-1] coefficient of x1^p1*...*xn^pn, as a constant.
 
         >>> p = MultiPoly(2, {(1, 0, -1): Fraction(1, 2), (1, 0, 0): 3})
         >>> print(p.coefficient((1, 0)))
-        1/2*t^-1 + 3
+        (1/2*t^-1 + 3)
         """
         if len(powers) != self.arity:
             raise ArityMismatch(f"{len(powers)} powers for arity {self.arity}")
         xs = tuple(int(p) for p in powers)
         if any(not 0 <= p <= K.MAX_EXPONENT for p in xs):
-            return LaurentPoly.zero()
+            return MultiPoly.zero(self.arity)
         low = _pack(xs)
-        t_shift = self.arity * _W
-        low_mask = (1 << t_shift) - 1
-        den = self._terms.den
-        return _laurent_make(
-            {
-                key >> t_shift: Fraction(c, den)
-                for key, c in self._terms.items()
-                if key & low_mask == low
-            }
-        )
-
-    def constant_laurent(self) -> LaurentPoly:
-        """Coefficient of the empty monomial."""
-        return self.coefficient((0,) * self.arity)
+        low_mask = (1 << (self.arity * _W)) - 1
+        terms = self._terms
+        part = {key - low: c for key, c in terms.items() if key & low_mask == low}
+        return MultiPoly._raw(self.arity, K.canonical(part, terms.den))
 
     def is_constant(self) -> bool:
         """True when no variable occurs (scalars in t are allowed)."""
         low_mask = (1 << (self.arity * _W)) - 1
         return not any(key & low_mask for key in self._terms)
 
-    def as_laurent(self) -> LaurentPoly:
-        if not self.is_constant():
-            raise ValueError(f"{self} involves variables")
-        return self.constant_laurent()
+    def is_unit(self, mode: RingMode) -> bool:
+        """True for a unit of the base ring: one term c*t^k and no variable,
+        with k = 0 in Q[t].  Its inverse is ``self ** -1``.
+
+        >>> t = MultiPoly.parameter(1)
+        >>> (t**-3 * 2).is_unit(RingMode.LAURENT), (t**-3 * 2).is_unit(RingMode.POLY)
+        (True, False)
+        """
+        if len(self._terms) != 1:
+            return False
+        [key] = self._terms
+        if mode is RingMode.POLY:
+            return key == 0
+        return not key & ((1 << (self.arity * _W)) - 1)
 
     def degree_in(self, index: int) -> int:
         """Degree in the variable x_index; the zero polynomial has none.
@@ -318,8 +284,6 @@ class MultiPoly:
             if not c:
                 raise ZeroDivisionError("division by zero")
             return self * (Fraction(1) / c)
-        if isinstance(other, LaurentPoly):
-            return self * MultiPoly.constant(self.arity, other.unit_inverse(RingMode.LAURENT))
         return NotImplemented
 
     def __pow__(self, exponent: int) -> MultiPoly:
@@ -392,10 +356,13 @@ class MultiPoly:
     def exact_divide(self, divisor: MultiPoly) -> MultiPoly | None:
         """Exact quotient with coefficients in Q[t,t^-1], or None.
 
-        Division eliminates leading terms in graded-lex order; a leading
-        monomial that is not componentwise divisible, or a leading Laurent
-        coefficient that does not divide exactly, means no quotient exists
-        in this module and None is returned.
+        Both operands are first shifted by a power of t so that each has
+        smallest t exponent 0.  Then t does not divide the shifted divisor,
+        and as t is prime, divisibility in Q[t,t^-1][x] is divisibility in
+        Q[x1,...,xn,t].  There division eliminates leading terms, ordered
+        graded-lex on the variables with the t exponent breaking ties (a
+        monomial order); a leading term that the divisor's leading term
+        does not divide means no quotient exists, and None is returned.
 
         >>> x1 = MultiPoly.variable(2, 1)
         >>> x2 = MultiPoly.variable(2, 2)
@@ -410,29 +377,32 @@ class MultiPoly:
             raise TypeError("divisor must be a polynomial")
         if other.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
+        n = self.arity
         if self.is_zero():
-            return MultiPoly.zero(self.arity)
-        d_x, d_c = other._leading_laurent()
-        quotient = MultiPoly.zero(self.arity)
-        rem = self
-        while not rem.is_zero():
-            r_x, r_c = rem._leading_laurent()
-            gap = tuple(a - b for a, b in zip(r_x, d_x))
-            if any(g < 0 for g in gap):
-                return None
-            qc = r_c.exact_divide(d_c)
-            if qc is None:
-                return None
-            mono = MultiPoly.monomial(self.arity, gap, qc)
-            quotient = quotient + mono
-            rem = rem - mono * other
-        return quotient
+            return MultiPoly.zero(n)
+        t_shift = n * _W
+        low_mask = (1 << t_shift) - 1
+        guard = _guard(n)
+        # the smallest key has the smallest t exponent
+        r_shift = min(self._terms) >> t_shift << t_shift
+        d_shift = min(other._terms) >> t_shift << t_shift
+        rem = K.make({key - r_shift: c for key, c in self._terms.items()}, self._terms.den)
+        div = K.make({key - d_shift: c for key, c in other._terms.items()}, other._terms.den)
 
-    def _leading_laurent(self) -> tuple[tuple, LaurentPoly]:
-        low_mask = (1 << (self.arity * _W)) - 1
-        lead = max({key & low_mask for key in self._terms}, key=lambda low: (_degree(low), low))
-        powers = _powers(lead, self.arity)
-        return powers, self.coefficient(powers)
+        def order(key: int) -> tuple:
+            return _degree(key & low_mask), key & low_mask, key
+
+        d_key = max(div, key=order)
+        quotient: dict[int, Fraction] = {}
+        while rem:
+            r_key = max(rem, key=order)
+            gap = r_key - d_key
+            if gap < 0 or gap & guard:  # a variable's exponent, or t's, would go negative
+                return None
+            q = quotient[gap] = Fraction(rem[r_key] * div.den, rem.den * div[d_key])
+            rem = K.sub_terms(rem, K.mul_terms(K.make({gap: q.numerator}, q.denominator), div, guard))
+        shift = r_shift - d_shift
+        return MultiPoly._raw(n, _from_fractions({key + shift: c for key, c in quotient.items()}))
 
     def specialize_t(self, alpha: int | Fraction) -> MultiPoly:
         """Substitute a rational value for t.
@@ -453,7 +423,7 @@ class MultiPoly:
         if alpha == 0:
             for key, c in terms.items():
                 if key < 0:
-                    monomial = _monomial_str(_powers(key & low_mask, n))
+                    monomial = _monomial_str(key & low_mask, n)
                     raise PoleAtZero(f"coefficient of {monomial or '1'} has a pole at t = 0")
                 if key <= low_mask:
                     out[key] = c
@@ -496,28 +466,41 @@ class MultiPoly:
     # -------------------------------------------------------------- rendering
 
     def __str__(self) -> str:
-        if not self._terms:
+        """Canonical text: one group per variable monomial, graded-lex
+        descending; a group whose coefficient is not a rational is
+        parenthesised, its powers of t ascending.
+        """
+        terms = self._terms
+        if not terms:
             return "0"
-        parts: list[str] = []
-        for powers, lc in self.laurent_terms():
-            mono = _monomial_str(powers)
-            negative = False
-            if lc.is_rational_constant():
-                q = lc.as_rational()
-                negative = q < 0
-                if mono and abs(q) == 1:
-                    body = mono
-                elif mono:
-                    body = f"{format_rational(abs(q))}*{mono}"
-                else:
-                    body = format_rational(abs(q))
+        n, den = self.arity, terms.den
+        t_shift = n * _W
+        low_mask = (1 << t_shift) - 1
+        groups: dict[int, list[tuple[int, int]]] = {}
+        for key, c in terms.items():
+            groups.setdefault(key & low_mask, []).append((key >> t_shift, c))
+        parts = []
+        for low in sorted(groups, key=lambda low: (_degree(low), low), reverse=True):
+            mono = _monomial_str(low, n)
+            group = groups[low]
+            if len(group) == 1 and not group[0][0]:
+                c = group[0][1]
+                body = _rational(abs(c), den)
+                if mono:
+                    body = mono if body == "1" else f"{body}*{mono}"
+                parts.append(f" - {body}" if c < 0 else f" + {body}")
             else:
-                body = f"({lc})*{mono}" if mono else f"({lc})"
-            if not parts:
-                parts.append(f"-{body}" if negative else body)
-            else:
-                parts.append(f" - {body}" if negative else f" + {body}")
-        return "".join(parts)
+                inner = []
+                group.sort()
+                for e, c in group:
+                    body = _rational(abs(c), den)
+                    if e:
+                        power = "t" if e == 1 else f"t^{e}"
+                        body = power if body == "1" else f"{body}*{power}"
+                    inner.append(f" - {body}" if c < 0 else f" + {body}")
+                body = f"({_signed(''.join(inner))})"
+                parts.append(f" + {body}*{mono}" if mono else f" + {body}")
+        return _signed("".join(parts))
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.arity}, '{self}')"
@@ -528,14 +511,27 @@ _set_arity = MultiPoly.arity.__set__
 _set_terms = MultiPoly._terms.__set__
 
 
-def _monomial_str(powers: tuple) -> str:
+def _monomial_str(low: int, n: int) -> str:
+    """x1^e1*...*xn^en for a key whose t slot is zero, '' for the key 0."""
     pieces = []
-    for i, e in enumerate(powers, start=1):
+    for i in range(1, n + 1):
+        e = (low >> ((n - i) * _W)) & _SLOT
         if e == 1:
             pieces.append(f"x{i}")
         elif e:
             pieces.append(f"x{i}^{e}")
     return "*".join(pieces)
+
+
+def _rational(num: int, den: int) -> str:
+    """num/den in lowest terms, as str(Fraction(num, den)) writes it."""
+    g = gcd(num, den)
+    return str(num // g) if den == g else f"{num // g}/{den // g}"
+
+
+def _signed(joined: str) -> str:
+    """A sum built as ' + a - b ...', with its first operator made a sign."""
+    return joined[3:] if joined[1] == "+" else "-" + joined[3:]
 
 
 # ------------------------------------------------------------- key layout

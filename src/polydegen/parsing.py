@@ -1,7 +1,7 @@
 """Text forms.
 
-The grammar round-trips the canonical renderings of LaurentPoly and
-MultiPoly:
+The grammar round-trips the canonical rendering of MultiPoly, scalars in t
+included:
 
     rational   ::=  ('+'|'-')? digits ('/' digits)?
     atom       ::=  number | 't' | 'x' digits | '(' expr ')'
@@ -51,7 +51,6 @@ from ._kernel import (
     variable_key,
 )
 from .errors import ExponentOverflow, NonUnit, ParseError
-from .laurent import LaurentPoly
 from .multipoly import MultiPoly
 
 _RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?\Z")
@@ -345,14 +344,3 @@ def parse_poly(text: str, arity: int | None = None) -> MultiPoly:
         return parser.to_poly(result)
     return result
 
-
-def parse_laurent(text: str) -> LaurentPoly:
-    """Parse a scalar in Q[t,t^-1].
-
-    >>> print(parse_laurent('-2/3*t^-2 + 1 + 5*t^3'))
-    -2/3*t^-2 + 1 + 5*t^3
-    """
-    poly = parse_poly(text, arity=1)
-    if not poly.is_constant():
-        raise ParseError(f"expected a scalar in t, found variables in {_clip(text)!r}")
-    return poly.as_laurent()

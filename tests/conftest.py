@@ -10,7 +10,6 @@ from fractions import Fraction
 import pytest
 
 from polydegen import build_family
-from polydegen.laurent import LaurentPoly
 from polydegen.multipoly import MultiPoly
 
 _FAMILY_CACHE: dict[int, object] = {}
@@ -36,11 +35,11 @@ def rand_rational(rng, max_num=9, max_den=5):
 
 
 def rand_laurent(rng, min_exp=-3, max_exp=3, terms=4):
-    """A random Laurent polynomial, possibly zero."""
-    out = LaurentPoly.zero()
+    """A random scalar of Q[t,t^-1], a constant of arity 1, possibly zero."""
+    out = MultiPoly.zero(1)
     for _ in range(rng.randint(0, terms)):
         exp = rng.randint(min_exp, max_exp)
-        out = out + LaurentPoly.t_power(exp, rand_rational(rng))
+        out = out + MultiPoly(1, {(0, exp): rand_rational(rng)})
     return out
 
 
@@ -52,8 +51,8 @@ def rand_poly(rng, arity=3, max_degree=3, terms=5, min_t=-2, max_t=2):
         powers = [0] * arity
         for _ in range(budget):
             powers[rng.randrange(arity)] += 1
-        coeff = LaurentPoly.t_power(rng.randint(min_t, max_t), rand_rational(rng))
-        out = out + MultiPoly.monomial(arity, powers, coeff)
+        t_exp = rng.randint(min_t, max_t)
+        out = out + MultiPoly(arity, {(*powers, t_exp): rand_rational(rng)})
     return out
 
 

@@ -11,19 +11,12 @@ import itertools
 from fractions import Fraction
 
 from polydegen.endo import PolyEndo
-from polydegen.laurent import LaurentPoly
 from polydegen.multipoly import MultiPoly
 
 
 def _t_range(poly):
-    exps = [e for _, coeff in poly.laurent_terms() for e, _ in coeff.items()]
+    exps = [key[-1] for key, _ in poly.terms()]
     return min(exps), max(exps)
-
-
-def _flat_terms(poly):
-    for powers, coeff in poly.laurent_terms():
-        for t_exp, c in coeff.items():
-            yield powers + (t_exp,), c
 
 
 def solve_linear(rows, rhs):
@@ -89,7 +82,7 @@ def divide_by_linear_system(dividend, divisor):
         for t_exp in range(t_lo, t_hi + 1)
     ]
 
-    divisor_terms = list(_flat_terms(divisor))
+    divisor_terms = list(divisor.terms())
     columns = []
     support = set()
     for key in candidates:
@@ -99,7 +92,7 @@ def divide_by_linear_system(dividend, divisor):
             col[prod] = col.get(prod, Fraction(0)) + d_coeff
         columns.append(col)
         support.update(col)
-    target = dict(_flat_terms(dividend))
+    target = dict(dividend.terms())
     support.update(target)
     ordered = sorted(support)
     rows = [[col.get(key, Fraction(0)) for col in columns] for key in ordered]
@@ -107,12 +100,7 @@ def divide_by_linear_system(dividend, divisor):
     solution = solve_linear(rows, rhs)
     if solution is None:
         return None
-    quotient = MultiPoly.zero(arity)
-    for key, value in zip(candidates, solution):
-        if value:
-            coeff = LaurentPoly.t_power(key[-1], value)
-            quotient = quotient + MultiPoly.monomial(arity, key[:-1], coeff)
-    return quotient
+    return MultiPoly(arity, {key: value for key, value in zip(candidates, solution) if value})
 
 
 # ------------------------------------------------------------ term kernel
@@ -188,8 +176,58 @@ def triangularizing_order_by_search(endo, mode):
         inverse = [0] * n
         for i, p in enumerate(perm):
             inverse[p - 1] = i + 1
-        front = PolyEndo.permutation(n, inverse)
-        back = PolyEndo.permutation(n, perm)
+        front = PolyEndo(tuple(MultiPoly.variable(n, p) for p in inverse))
+        back = PolyEndo(tuple(MultiPoly.variable(n, p) for p in perm))
         if front.compose(endo).compose(back).is_triangular(mode):
             return perm
     return None
+
+
+# ---------------------------------------------------------------- rendering
+#
+# The canonical text built the plain way: group the terms by variable
+# monomial into Fraction dicts keyed by the t exponent, order the groups
+# graded-lex descending (higher total degree first, then x1 > x2 > ...),
+# and print a rational coefficient bare and any other scalar in
+# parentheses, its powers of t ascending.
+
+
+def _ref_sum(pieces):
+    """'a + b - c' from (negative, body) pairs, a leading '-' for the first."""
+    out = []
+    for negative, body in pieces:
+        if not out:
+            out.append(f"-{body}" if negative else body)
+        else:
+            out.append(f" - {body}" if negative else f" + {body}")
+    return "".join(out)
+
+
+def _ref_scaled(q, base):
+    """|q| times a monomial text, '1' and empty factors left out."""
+    if not base:
+        return str(abs(q))
+    return base if abs(q) == 1 else f"{abs(q)}*{base}"
+
+
+def ref_render(poly):
+    groups = {}
+    for key, c in poly.terms():
+        groups.setdefault(key[:-1], {})[key[-1]] = c
+    pieces = []
+    for powers in sorted(groups, key=lambda p: (sum(p), p), reverse=True):
+        mono = "*".join(
+            f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in enumerate(powers, start=1) if e
+        )
+        scalar = groups[powers]
+        if list(scalar) == [0]:
+            q = scalar[0]
+            pieces.append((q < 0, _ref_scaled(q, mono)))
+        else:
+            inner = [
+                (q < 0, _ref_scaled(q, "" if e == 0 else "t" if e == 1 else f"t^{e}"))
+                for e, q in sorted(scalar.items())
+            ]
+            text = f"({_ref_sum(inner)})"
+            pieces.append((False, f"{text}*{mono}" if mono else text))
+    return _ref_sum(pieces) or "0"

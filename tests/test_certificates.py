@@ -23,7 +23,7 @@ from polydegen.errors import (
     NonUnit,
     PoleAtZero,
 )
-from polydegen.laurent import RingMode
+from polydegen.multipoly import RingMode
 
 
 def make_delta(*texts):

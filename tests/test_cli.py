@@ -133,8 +133,16 @@ def test_smith_document(tmp_path, capsys):
         (["specialize", "--l", "3", "--alpha=0"], "0507e510cbde191e"),
         (["smith", "--l", "2"], "7c3d73d900805dcb"),
         (None, "ee83639c3b24d574"),
+        (["family", "--l", "4"], "a18d015d5be5c6e6"),
+        (["family", "--l", "2", "--format", "text"], "91b996ca1e40ca67"),
+        (["specialize", "--l", "3", "--alpha=5/3", "--format", "text"], "d1630f980fd2317a"),
+        (["specialize", "--l", "4", "--alpha=-7/11"], "f0070f399ea916d5"),
+        (["smith", "--l", "3"], "744ca1ad0ebb3b8c"),
     ],
-    ids=["family", "specialize nonzero", "specialize zero", "smith", "conjugation"],
+    ids=[
+        "family", "specialize nonzero", "specialize zero", "smith", "conjugation",
+        "family l4", "family text", "specialize text", "specialize l4", "smith l3",
+    ],
 )
 def test_output_matches_pinned_digests(capsys, argv, prefix):
     # SHA-256 of each payload as emitted by earlier versions: the identity

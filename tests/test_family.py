@@ -4,9 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from polydegen import build_family, parse_poly, slice_coefficients
-from polydegen.family import limit_shape_problems
-from polydegen.laurent import LaurentPoly, RingMode
+from polydegen import MultiPoly, RingMode, build_family, parse_poly, slice_coefficients
+from polydegen.family import has_limit_shape
 
 
 def test_slice_coefficients_recurrence():
@@ -91,12 +90,14 @@ def test_h_limit_closed_form(families):
 
 def test_h_shape_split(families):
     for l, fam in families.items():
-        assert limit_shape_problems(fam.h, l, fam.coefficients[-1]) == ()
-    # a wrong x3^2 coefficient is reported
+        assert has_limit_shape(fam.h, l, fam.coefficients[-1])
+    # a wrong x3^2 coefficient, an x3 term without t, and a term with
+    # neither x2 nor x3 each break the shape
     fam = families[1]
-    broken = fam.h + parse_poly("x3^2", arity=3)
-    problems = limit_shape_problems(broken, 1, fam.coefficients[-1])
-    assert problems
+    for extra in ("x3^2", "x1*x3", "t^5*x1"):
+        broken = fam.h + parse_poly(extra, arity=3)
+        assert not has_limit_shape(broken, 1, fam.coefficients[-1]), extra
+    assert has_limit_shape(fam.h + parse_poly("t^-3*x2 + t*x3", arity=3), 1, fam.coefficients[-1])
 
 
 def test_fiber_specializations(families):
@@ -126,6 +127,6 @@ def test_g2_leading_structure(families):
     for l, fam in families.items():
         # g2 = x2 - x1^2/(2t) for every l
         expected = parse_poly("x2", arity=3) + parse_poly("x1^2", arity=3) * (
-            LaurentPoly.t_power(-1, Fraction(-1, 2))
+            MultiPoly(3, {(0, 0, 0, -1): Fraction(-1, 2)})
         )
         assert fam.g2 == expected

@@ -12,8 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polydegen import ParseError, parse_laurent, parse_poly, parse_rational
-from polydegen.laurent import LaurentPoly
+from polydegen import ParseError, parse_poly, parse_rational
 from polydegen.multipoly import MultiPoly
 
 
@@ -28,7 +27,7 @@ def test_parse_rational():
 
 def test_parse_poly_basics():
     p = parse_poly("x1^2*x2 - 3", arity=3)
-    assert p == MultiPoly.monomial(3, (2, 1, 0)) - MultiPoly.constant(3, 3)
+    assert p == MultiPoly(3, {(2, 1, 0, 0): 1}) - MultiPoly.constant(3, 3)
     assert parse_poly("0", arity=2).is_zero()
     assert parse_poly("-x1", arity=1) == -MultiPoly.variable(1, 1)
 
@@ -85,12 +84,6 @@ def test_arity_too_small():
         parse_poly("x3", arity=2)
 
 
-def test_parse_laurent_rejects_variables():
-    assert parse_laurent("-2/3*t^-2 + 1") == parse_poly("-2/3*t^-2 + 1", arity=1).as_laurent()
-    with pytest.raises(ParseError):
-        parse_laurent("x1")
-
-
 def test_deep_nesting_is_a_parse_error():
     assert parse_poly("(" * 100 + "x1" + ")" * 100) == MultiPoly.variable(1, 1)
     with pytest.raises(ParseError, match="nested too deeply"):
@@ -143,7 +136,7 @@ def test_canonical_text_round_trips(p):
 def _non_canonical():
     x1, x2, x3 = (MultiPoly.variable(3, i) for i in (1, 2, 3))
     t = MultiPoly.parameter(3)
-    half_t_inv = MultiPoly.constant(3, LaurentPoly.t_power(-1, Fraction(1, 2)))
+    half_t_inv = MultiPoly(3, {(0, 0, 0, -1): Fraction(1, 2)})
     return [
         ("((x1 + (t)))*((2))", (x1 + t) * 2),
         ("(x1+x2)^3", (x1 + x2) ** 3),
@@ -182,7 +175,7 @@ def test_scalar_powers_stop_at_the_digit_limit():
     limit = sys.get_int_max_str_digits()
     # 2^largest has at most `limit` digits, 2^(largest + 1) more
     largest = (10**limit).bit_length() - 1
-    assert parse_poly(f"2^{largest}*x1") == MultiPoly.monomial(1, (1,), 2**largest)
+    assert parse_poly(f"2^{largest}*x1") == MultiPoly(1, {(1, 0): 2**largest})
     assert parse_poly(f"(1/2*t)^-{largest}") == parse_poly(f"2^{largest}*t^-{largest}")
     for text in (f"2^{largest + 1}*x1", f"(1/2)^{largest + 1}", f"(2*t)^-{largest + 1}",
                  f"(2*x1)^{largest + 1}"):
@@ -203,8 +196,5 @@ def test_error_messages_stay_short():
         with pytest.raises(ParseError) as exc:
             parse_poly(text)
         assert len(str(exc.value)) < 200
-    with pytest.raises(ParseError) as exc:
-        parse_laurent(f"{digits}*x1")
-    assert len(str(exc.value)) < 200
     with pytest.raises(ParseError, match="zero denominator"):
         parse_poly("1/0*x1")
