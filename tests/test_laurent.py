@@ -124,6 +124,13 @@ def test_rational_constant_detection():
     assert str(L("3*t^0 + t - t")) == "3"
 
 
+def test_format_rational():
+    # rationals render in lowest terms, sign first, with no "/1"
+    assert str(MultiPoly.constant(1, Fraction(3))) == "3"
+    assert str(MultiPoly.constant(1, Fraction(-3, 7))) == "-3/7"
+    assert str(MultiPoly.constant(1, Fraction(6, -14))) == "-3/7"
+
+
 def test_str_round_trip_random():
     rng = random.Random(303)
     for _ in range(60):
