@@ -24,6 +24,7 @@ from .endo import PolyEndo
 from .errors import (
     ArityMismatch,
     CheckFailed,
+    CoefficientTooLong,
     ExponentOverflow,
     HypothesisViolation,
     KernelViolation,
@@ -43,6 +44,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ArityMismatch",
     "CheckFailed",
+    "CoefficientTooLong",
     "ConjugationCertificate",
     "ExponentOverflow",
     "FamilyInstance",

@@ -21,8 +21,13 @@ is canonical -- ``den > 0``, no zero numerators, and
 ``gcd(den, all numerators) == 1`` -- so equal polynomials have equal
 ``Terms``.  The five operations take canonical operands, which lets them
 find the common factor of a result from the operands' denominators, and
-return canonical results; each returns a fresh container and never mutates
-its arguments.
+return canonical results.  None mutates its arguments, and each returns a
+fresh container, except that the sum of one piece is that piece.
+
+``add_terms`` is n-ary: it puts any number of pieces over the lcm of their
+denominators in one pass and reduces the sum with one gcd, so a caller that
+adds many polynomials (a substitution's groups, an exponential series, a
+parsed sum) copies and reduces no partial sum.
 """
 
 from __future__ import annotations
@@ -138,8 +143,43 @@ def guard_mask(arity: int) -> int:
     return mask
 
 
-def add_terms(a: Terms, b: Terms) -> Terms:
-    return _combine(a, b, 1)
+def add_terms(*pieces: Terms) -> Terms:
+    """The sum of any number of canonical Terms, in one pass.
+
+    Every piece is put over the lcm of the denominators and added into one
+    dict, which is reduced once; a sum of many pieces thus copies and
+    reduces no partial sum.
+    """
+    if len(pieces) == 2:
+        return _combine(*pieces, 1)
+    if len(pieces) < 2:
+        return pieces[0] if pieces else make({})
+    # Knuth's argument for two fractions, extended: a prime that divides the
+    # lcm and every numerator of the sum must reach its highest power in the
+    # lcm in two pieces or more, since in a lone piece of that power it would
+    # divide that piece's content.  Its second arrival, piece k, brings it
+    # into gcd(lcm of pieces 1..k-1, d_k); the lcm of those gcds bounds the
+    # common factor.
+    den = bound = 1
+    for piece in pieces:
+        g = gcd(den, piece.den)
+        den *= piece.den // g
+        bound *= g // gcd(bound, g)
+    # the largest piece is copied, not looped over
+    i = max(range(len(pieces)), key=lambda j: len(pieces[j]))
+    base = pieces[i]
+    scale = den // base.den
+    acc = dict(base) if scale == 1 else {key: c * scale for key, c in base.items()}
+    get = acc.get
+    for piece in pieces[:i] + pieces[i + 1 :]:
+        scale = den // piece.den
+        if scale == 1:
+            for key, c in piece.items():
+                acc[key] = get(key, 0) + c
+        else:
+            for key, c in piece.items():
+                acc[key] = get(key, 0) + c * scale
+    return canonical(acc, den, bound)
 
 
 def sub_terms(a: Terms, b: Terms) -> Terms:

@@ -14,9 +14,9 @@ Three independent pieces of evidence about phi = exp(h*delta):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .derivation import TriangularDerivation
 from .endo import PolyEndo
 from .errors import HypothesisViolation, KernelViolation, NonUnit
@@ -26,8 +26,7 @@ WILD = "wild"
 TAME = "tame"
 
 
-@dataclass(frozen=True)
-class WildnessReport:
+class WildnessReport(Record):
     """Outcome of the three residue conditions at t = 0.
 
     The fiber is wild exactly when all three flags hold; with any flag
@@ -104,8 +103,7 @@ def check_wild_at_zero(delta: TriangularDerivation, h: MultiPoly) -> WildnessRep
 # --------------------------------------------------------------- conjugation
 
 
-@dataclass(frozen=True)
-class ConjugationCertificate:
+class ConjugationCertificate(Record):
     """phi = tau o epsilon o tau_inv over Q[t,t^-1], all stored exactly."""
 
     delta: TriangularDerivation
@@ -169,8 +167,7 @@ def factor_kind(factor: PolyEndo, mode: RingMode) -> str:
     return OPAQUE
 
 
-@dataclass(frozen=True)
-class TamenessWord:
+class TamenessWord(Record):
     """A factorization of one fiber into tame-certifying factors."""
 
     alpha: Fraction
@@ -202,8 +199,7 @@ def specialized_tameness(cert: ConjugationCertificate, alpha: int | Fraction) ->
 # -------------------------------------------------------------- stabilization
 
 
-@dataclass(frozen=True)
-class StabilizationCertificate:
+class StabilizationCertificate(Record):
     """The arity n+1 extension of exp(h*delta) as a four-factor commutator.
 
     gamma shifts the fresh variable by h, rho = exp(x_{n+1}*delta), and

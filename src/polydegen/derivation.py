@@ -9,9 +9,9 @@ polynomial terminates at zero, and exponential sums are finite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .errors import ArityMismatch, KernelViolation, NonUnit, NotTriangular
 from .multipoly import MultiPoly, RingMode
 
@@ -21,8 +21,7 @@ from .multipoly import MultiPoly, RingMode
 _NILPOTENCY_CAP = 10_000
 
 
-@dataclass(frozen=True)
-class TriangularDerivation:
+class TriangularDerivation(Record):
     """The derivation sending x_i to images[i-1].
 
     >>> t = MultiPoly.parameter(3)
@@ -59,11 +58,10 @@ class TriangularDerivation:
         """Leibniz extension: sum of f_i * d(poly)/dx_i."""
         if poly.arity != self.arity:
             raise ArityMismatch(f"polynomial arity {poly.arity} vs derivation arity {self.arity}")
-        total = MultiPoly.zero(self.arity)
-        for i, f in enumerate(self.images, start=1):
-            if not f.is_zero():
-                total = total + f * poly.diff(i)
-        return total
+        return MultiPoly.sum(
+            self.arity,
+            [f * poly.diff(i) for i, f in enumerate(self.images, start=1) if not f.is_zero()],
+        )
 
     def nilpotency_exponent(self, poly: MultiPoly) -> int:
         """Smallest k with delta^k(poly) = 0.
@@ -112,7 +110,7 @@ class TriangularDerivation:
         images = []
         for i in range(1, n + 1):
             term = MultiPoly.variable(n, i)
-            total = term
+            summands = [term]
             k = 0
             h_power = MultiPoly.one(n)
             while True:
@@ -123,8 +121,8 @@ class TriangularDerivation:
                 h_power = h_power * h
                 if h_power.is_zero():
                     break
-                total = total + h_power * term * Fraction(1, math.factorial(k))
-            images.append(total)
+                summands.append(h_power * term * Fraction(1, math.factorial(k)))
+            images.append(MultiPoly.sum(n, summands))
         return PolyEndo(tuple(images))
 
     # ------------------------------------------------------------------ slice
@@ -152,7 +150,7 @@ class TriangularDerivation:
         if not f1.is_unit(RingMode.LAURENT):
             raise NonUnit(f"delta(x1) = {f1} is not a unit of Q[t,t^-1]")
         ratio = MultiPoly.variable(n, 1) * f1**-1
-        total = poly
+        summands = [poly]
         term = poly
         power = MultiPoly.one(n)
         k = 0
@@ -163,8 +161,8 @@ class TriangularDerivation:
             k += 1
             power = power * ratio
             sign = Fraction(-1, 1) ** k
-            total = total + term * power * (sign / math.factorial(k))
-        return total
+            summands.append(term * power * (sign / math.factorial(k)))
+        return MultiPoly.sum(n, summands)
 
     def kernel_generators(self) -> tuple[MultiPoly, ...]:
         """The slice images (sigma(x2),...,sigma(xn)).

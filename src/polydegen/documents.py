@@ -17,11 +17,11 @@ stabilization.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
 from typing import Callable
 
+from ._record import Record
 from .certificates import (
     ConjugationCertificate,
     StabilizationCertificate,
@@ -45,8 +45,7 @@ FORMAT_VERSION = 1
 _FLAGS = ("f2_residue_nonzero", "h_residue_not_in_x1", "derivative_outside_ideal")
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(Record):
     identity: str
     passed: bool
 

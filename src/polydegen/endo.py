@@ -7,16 +7,15 @@ are rewritten through phi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from ._record import Record
 from .errors import ArityMismatch, NotTriangular
 from .multipoly import MultiPoly, RingMode
 
 
-@dataclass(frozen=True)
-class PolyEndo:
+class PolyEndo(Record):
     """An endomorphism, determined by where each variable goes.
 
     >>> x1 = MultiPoly.variable(2, 1)

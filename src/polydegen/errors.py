@@ -41,5 +41,9 @@ class ParseError(PolydegenError, ValueError):
     """Malformed polynomial, rational, or document text."""
 
 
+class CoefficientTooLong(PolydegenError, ValueError):
+    """A coefficient has more digits than ``str()`` prints (``sys.get_int_max_str_digits()``)."""
+
+
 class ExponentOverflow(PolydegenError, OverflowError):
     """A variable exponent is too large for the packed term representation."""

@@ -19,16 +19,15 @@ documents.family_document), which refuses to emit a failing instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .derivation import TriangularDerivation
 from .endo import PolyEndo
 from .multipoly import MultiPoly
 
 
-@dataclass(frozen=True)
-class FamilyInstance:
+class FamilyInstance(Record):
     """All exact data attached to one value of l."""
 
     l: int

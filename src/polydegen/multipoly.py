@@ -19,13 +19,21 @@ with x1 > x2 > ... > xn, higher total degree first.
 from __future__ import annotations
 
 import enum
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import _kernel as K
-from .errors import ArityMismatch, ExponentOverflow, NonUnit, PoleAtZero, ZeroPolynomial
+from .errors import (
+    ArityMismatch,
+    CoefficientTooLong,
+    ExponentOverflow,
+    NonUnit,
+    PoleAtZero,
+    ZeroPolynomial,
+)
 
 _W = K.SLOT_BITS
 _SLOT = K.SLOT_MASK
@@ -119,6 +127,23 @@ class MultiPoly:
     def parameter(cls, arity: int) -> MultiPoly:
         """The parameter t as a constant polynomial."""
         return cls._raw(arity, K.make({K.t_key(arity): 1}))
+
+    @classmethod
+    def sum(cls, arity: int, polys: Iterable[MultiPoly]) -> MultiPoly:
+        """The sum of polynomials of the given arity, added in one pass.
+
+        Unlike a chain of ``+``, no partial sum is copied or reduced.
+
+        >>> x1 = MultiPoly.variable(2, 1)
+        >>> print(MultiPoly.sum(2, [x1, x1**2 / 2, -x1]))
+        1/2*x1^2
+        """
+        pieces = []
+        for poly in polys:
+            if poly.arity != arity:
+                raise ArityMismatch(f"arity {arity} vs {poly.arity}")
+            pieces.append(poly._terms)
+        return cls._raw(arity, K.add_terms(*pieces))
 
     # ---------------------------------------------------------------- queries
 
@@ -329,10 +354,11 @@ class MultiPoly:
         """Evaluate at x_i = images[i-1]; t is carried along unchanged.
 
         All images must share one arity, which becomes the arity of the
-        result.  Terms are grouped one variable at a time and each image's
-        powers are computed once per call, shared across all groups; that
-        keeps repeated substitution of large images linear in the number
-        of groups rather than quadratic.
+        result.  Terms are grouped one variable at a time, and the groups
+        of each level are added in one n-ary kernel sum.  Each image's powers
+        are computed once per call, shared across all groups; that keeps
+        repeated substitution of large images linear in the number of groups
+        rather than quadratic.  A one-term image is raised in one step.
 
         >>> p = MultiPoly(2, {(2, 0, 0): 1, (0, 1, 0): 1})
         >>> y1 = MultiPoly.variable(1, 1)
@@ -351,7 +377,8 @@ class MultiPoly:
                 raise ArityMismatch("images have mixed arities")
         if not self._terms:
             return MultiPoly.zero(m)
-        return _Substitution(self.arity, images, m, self._terms.den).run(self._terms, 0)
+        terms = _Substitution(self.arity, images, m, self._terms.den).run(self._terms, 0)
+        return MultiPoly._raw(m, terms)
 
     def exact_divide(self, divisor: MultiPoly) -> MultiPoly | None:
         """Exact quotient with coefficients in Q[t,t^-1], or None.
@@ -526,7 +553,13 @@ def _monomial_str(low: int, n: int) -> str:
 def _rational(num: int, den: int) -> str:
     """num/den in lowest terms, as str(Fraction(num, den)) writes it."""
     g = gcd(num, den)
-    return str(num // g) if den == g else f"{num // g}/{den // g}"
+    try:
+        return str(num // g) if den == g else f"{num // g}/{den // g}"
+    except ValueError:  # more digits than int's str() converts
+        limit = sys.get_int_max_str_digits()
+        raise CoefficientTooLong(
+            f"a coefficient has more than {limit} digits, the limit for printing an integer"
+        ) from None
 
 
 def _signed(joined: str) -> str:
@@ -580,15 +613,28 @@ class _Substitution:
         self.images = images
         self.m = m
         self.den = den
-        self._tables: list[list[MultiPoly]] = [[MultiPoly.one(m), img] for img in images]
+        self.guard = _guard(m)
+        # the powers of each image by exponent; a sum's fill 1..k in order
+        self._powers: list[dict[int, K.Terms]] = [{1: img._terms} for img in images]
 
-    def power(self, i: int, e: int) -> MultiPoly:
-        table = self._tables[i]
-        while len(table) <= e:
-            table.append(table[-1] * self.images[i])
-        return table[e]
+    def power(self, i: int, e: int) -> K.Terms:
+        """images[i] ** e for e >= 1, each computed once per pass."""
+        powers = self._powers[i]
+        if e in powers:
+            return powers[e]
+        image = self.images[i]
+        if len(image._terms) == 1:
+            # a one-term image is raised in one step
+            power = powers[e] = (image**e)._terms
+            return power
+        k = len(powers)
+        power = powers[k]
+        while k < e:
+            k += 1
+            power = powers[k] = K.mul_terms(power, image._terms, self.guard)
+        return power
 
-    def run(self, terms: dict[int, int], i: int) -> MultiPoly:
+    def run(self, terms: dict[int, int], i: int) -> K.Terms:
         """Substitute into numerators over ``self.den`` whose x1..x_i are gone."""
         n = self.n
         if i == n:
@@ -599,17 +645,18 @@ class _Substitution:
             else:
                 shift = (n - self.m) * _W
                 out = {key >> shift: c for key, c in terms.items()}
-            return MultiPoly._raw(self.m, K.canonical(out, self.den))
+            return K.canonical(out, self.den)
         shift = (n - 1 - i) * _W
         groups: dict[int, dict[int, int]] = {}
         for key, c in terms.items():
             e = (key >> shift) & _SLOT
             groups.setdefault(e, {})[key - (e << shift)] = c
-        total = MultiPoly.zero(self.m)
+        guard = self.guard
+        pieces = []
         for e in sorted(groups, reverse=True):
             part = self.run(groups[e], i + 1)
-            total = total + (part if e == 0 else part * self.power(i, e))
-        return total
+            pieces.append(part if e == 0 else K.mul_terms(part, self.power(i, e), guard))
+        return K.add_terms(*pieces)
 
 
 _ZERO = Fraction(0)

@@ -22,14 +22,17 @@ of being computed.  No rendered polynomial holds such a coefficient, since
 rendering prints it with ``str()``.
 
 Canonical text goes straight to packed terms.  One regex pass splits the
-text into tokens.  Each product of numbers, ``t``, variables, their integer
-powers and parenthesised one-term scalars folds into one ``(key,
+text into tokens; a variable power written without spaces, ``x3^2``, is one
+token, whose packed key each parse computes once and then looks up, as it
+does for a bare ``x3``.  Each product of numbers, ``t``, variables, their
+integer powers and parenthesised one-term scalars folds into one ``(key,
 numerator, denominator)`` monomial with int arithmetic, the key packed as
-in :mod:`polydegen._kernel`; a power of such a factor is taken by
-``_kernel.monomial_power``, as ``MultiPoly.__pow__`` takes it.  Each sum puts its monomials over one common
-denominator with a single ``canonical`` call.  Only a parenthesised factor
-of two or more terms, or a power of one, goes through ``MultiPoly``
-arithmetic.
+in :mod:`polydegen._kernel`; any other power of such a factor is taken by
+``_kernel.monomial_power``, as ``MultiPoly.__pow__`` takes it.  Each sum
+puts its monomials over one common denominator with a single ``canonical``
+call, and adds any parenthesised sums to them in one n-ary kernel sum.
+Only a parenthesised factor of two or more terms, or a power of one, goes
+through ``MultiPoly`` arithmetic.
 """
 
 from __future__ import annotations
@@ -50,15 +53,20 @@ from ._kernel import (
     t_key,
     variable_key,
 )
-from .errors import ExponentOverflow, NonUnit, ParseError
+from .errors import CoefficientTooLong, ExponentOverflow, NonUnit, ParseError
 from .multipoly import MultiPoly
 
 _RATIONAL_RE = re.compile(r"([+-]?\d+)(?:/(\d+))?\Z")
 
-# One token per match, after optional whitespace: a number, a variable, a
-# power ('^', an optional '-' and a number, spaces allowed between), an
-# operator or 't', and last any other character, which no rule accepts.
-_TOKEN_RE = re.compile(r"\s*(\d+(?:/\d+)?|x\d+|\^\s*-?\s*\d+(?:/\d+)?|[-+*^()t]|\S)")
+# One token per match, after optional whitespace: a number, a variable with
+# the exponent written straight after it ('x3^2', as canonical text writes
+# every variable power), a power ('^', an optional '-' and a number, spaces
+# allowed between), an operator or 't', and last any other character, which
+# no rule accepts.  A variable keeps any other power ('x3 ^ 2', 'x3^-1',
+# 'x3^2/3') as a token of its own, so those read, and fail, as before.
+_TOKEN_RE = re.compile(
+    r"\s*(\d+(?:/\d+)?|x\d+(?:\^\d+(?![\d/]))?|\^\s*-?\s*\d+(?:/\d+)?|[-+*^()t]|\S)"
+)
 _KNOWN_RE = re.compile(r"\d|x\d|[-+*^()t]")  # how each token but a stray character starts
 _END = "<end>"  # closes the token list
 
@@ -132,7 +140,7 @@ def _describe(poly: MultiPoly) -> str:
     """Short text for poly in an error message."""
     try:
         return _clip(str(poly))
-    except ValueError:  # a coefficient with more digits than str() prints
+    except CoefficientTooLong:
         return f"{poly.term_count()}-term polynomial with a coefficient too long to print"
 
 
@@ -189,9 +197,8 @@ class _Parser:
         acc: dict[int, int] = {}
         for key, num, d in monomials:
             acc[key] = acc.get(key, 0) + num * (den // d)
-        result = MultiPoly._raw(self.arity, canonical(acc, den))
-        for poly in polys:
-            result = result + poly
+        summands = [MultiPoly._raw(self.arity, canonical(acc, den)), *polys]
+        result = MultiPoly.sum(self.arity, summands)
         terms = result._terms
         if len(terms) > 1:
             return result
@@ -238,7 +245,9 @@ class _Parser:
             else:
                 self.unexpected(i - 1, "unexpected token")
             tok = tokens[i]
-            if tok[0] == "^":
+            # a '^' after a variable token that holds its own power is left
+            # to the caller, as after any other power
+            if tok[0] == "^" and not (first == "x" and "^" in tokens[i - 1]):
                 i += 1
                 if factor is not None:
                     factor = self.poly_power(factor, tok[1:], i)
@@ -267,13 +276,18 @@ class _Parser:
             i += 1
 
     def variable(self, i: int) -> int:
+        """The key of variable token i, 'x<index>' or 'x<index>^<e>'."""
         tok = self.tokens[i]
         if len(tok) == 1:
             self.unexpected(i, "unexpected token")  # an 'x' without an index
-        index = _digits(tok[1:])
+        name, power, e = tok.partition("^")
+        index = _digits(name[1:])
         if not 1 <= index <= self.arity:
-            raise ParseError(f"variable {_clip(tok)} out of range for arity {self.arity}")
-        key = self.var_keys[tok] = variable_key(self.arity, index)
+            raise ParseError(f"variable {_clip(name)} out of range for arity {self.arity}")
+        key = variable_key(self.arity, index)
+        if power:
+            key = monomial_power(key, 1, 1, _digits(e), self.arity)[0]
+        self.var_keys[tok] = key
         return key
 
     def exponent(self, text: str, i: int) -> int:
@@ -305,6 +319,8 @@ class _Parser:
             raise ParseError(
                 f"unexpected character at position {pos}: {self.text[pos:].strip()[:10]!r}"
             )
+        if tok[0] == "x":
+            tok = tok.partition("^")[0]  # a variable's power is a token of its own
         raise ParseError(f"{what} {_clip(tok)!r}")
 
     def to_poly(self, monomial: Monomial) -> MultiPoly:
@@ -329,7 +345,8 @@ def parse_poly(text: str, arity: int | None = None) -> MultiPoly:
         for i, tok in enumerate(tokens):
             if not _KNOWN_RE.match(tok):
                 parser.unexpected(i, "unexpected token")
-        parser.arity = max([1, *(_digits(tok[1:]) for tok in set(tokens) if tok[0] == "x")])
+        variables = {tok.partition("^")[0] for tok in tokens if tok[0] == "x"}
+        parser.arity = max([1, *(_digits(name[1:]) for name in variables)])
     if not 1 <= parser.arity <= MAX_ARITY:
         raise ParseError(f"arity {_clip(str(parser.arity))} is outside 1..{MAX_ARITY}")
     try:

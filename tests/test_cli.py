@@ -2,9 +2,11 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -257,6 +259,51 @@ def test_exponent_overflow_in_a_computation_exits_one(capsys):
     assert code == 1
     assert stdout == ""
     assert "exponent above" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_a_coefficient_too_long_to_print_exits_one(capsys, fmt):
+    # the fiber's coefficients are powers of alpha, past str()'s digit limit
+    alpha = "7" * 1000
+    code, stdout, err = run(["specialize", "--l", "1", f"--alpha={alpha}", "--format", fmt], capsys)
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"more than {sys.get_int_max_str_digits()} digits" in err
+
+
+def test_a_huge_variable_power_in_a_word_factor_fails_fast(tmp_path, capsys):
+    # x1 maps to the one-term x1 through the first factor, so its power is
+    # raised in one step and the composite overflows at once
+    doc = json.loads(run(["specialize", "--l", "1", "--alpha=5/3"], capsys)[1])
+    doc["factors"][1][0] = "x1^536870912"
+    bad = tmp_path / "power.json"
+    bad.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "polydegen", "verify", "--in", str(bad)],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert result.returncode == 1, result.stderr
+    assert time.perf_counter() - start < 5.0
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # both cost a fresh process milliseconds of start-up on every command
+    import polydegen
+
+    src = str(Path(polydegen.__file__).resolve().parents[1])
+    code = "import sys, polydegen.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_usage_errors_exit_two(capsys):

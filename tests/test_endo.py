@@ -20,6 +20,25 @@ def endo(*texts, arity=None):
     return PolyEndo(tuple(parse_poly(s, arity=n) for s in texts))
 
 
+def test_maps_are_frozen_values():
+    images = [parse_poly("x1", arity=2), parse_poly("x2 + x1^2", arity=2)]
+    tau = PolyEndo(images)
+    assert tau == PolyEndo(images=tuple(images)) and type(tau.images) is tuple
+    assert hash(tau) == hash(PolyEndo(tuple(images)))
+    assert tau != PolyEndo.identity(2)
+    assert repr(tau) == "PolyEndo(x1, x1^2 + x2)"
+    with pytest.raises(AttributeError):
+        tau.images = ()
+    with pytest.raises(AttributeError):
+        del tau.images
+    with pytest.raises(ArityMismatch):
+        PolyEndo(())
+    with pytest.raises(TypeError):
+        PolyEndo(tuple(images), images=tuple(images))
+    with pytest.raises(TypeError):
+        PolyEndo()
+
+
 def test_identity_and_apply():
     e = PolyEndo.identity(3)
     assert e == endo("x1", "x2", "x3")

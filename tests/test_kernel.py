@@ -104,6 +104,36 @@ def test_cancellation_to_zero(a, extra):
     assert K.sub_terms(ta, ta).den == 1
 
 
+@examples
+@given(st.lists(term_dicts, max_size=5), st.integers(0, 5))
+def test_n_ary_sum_is_the_fold_of_two_operand_sums(dicts, negated):
+    # 0 to 6 pieces with mixed denominators, some empty; the piece after
+    # position ``negated`` (when there is one) cancels it, so parts of the
+    # sum, or all of it, cancel to zero
+    if negated < len(dicts):
+        dicts.insert(negated + 1, ref_neg(dicts[negated]))
+    pieces = [encode(d) for d in dicts]
+    before = [snapshot(p) for p in pieces]
+    got = K.add_terms(*pieces)
+    fold = K.make({})
+    want = {}
+    for piece, d in zip(pieces, dicts):
+        fold = K.add_terms(fold, piece)
+        want = ref_add(want, d)
+    assert_canonical(got)
+    assert got == fold and got.den == fold.den
+    assert decode(got) == want
+    assert [snapshot(p) for p in pieces] == before
+
+
+def test_n_ary_sum_cancels_to_zero():
+    a = encode({(1, 0, 0, -1): Fraction(1, 6), (0, 0, 0, 0): Fraction(5, 4)})
+    b = encode({(1, 0, 0, -1): Fraction(-1, 10)})
+    zero = K.add_terms(a, b, K.neg_terms(a), K.neg_terms(b))
+    assert zero == {} and zero.den == 1
+    assert K.add_terms() == {} and K.add_terms().den == 1
+
+
 @settings(examples, max_examples=40)
 @given(term_dicts, term_dicts, term_dicts)
 def test_ring_laws_hold_on_packed_terms(a, b, c):

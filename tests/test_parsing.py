@@ -162,6 +162,37 @@ def test_non_canonical_input_matches_arithmetic(text, expected):
     assert parse_poly(text, arity=3) == expected
 
 
+# A variable power written without spaces is one token; each result and
+# error message below was measured before it was, when 'x1^2' was two.
+VARIABLE_POWERS = [
+    ("x1^2", None, "x1^2"),
+    ("x1 ^ 2", None, "x1^2"),
+    ("x1^-1", None, "negative power of a non-unit: (x1)^-1"),
+    ("x1^2/3", None, "exponent must be an integer, found '2/3'"),
+    ("x1^23/4", None, "exponent must be an integer, found '23/4'"),
+    ("x1^007", None, "x1^7"),
+    ("x1^2147483647*x1", None, "a product has a variable exponent above 2147483647"),
+    ("x1^2147483648", None, "a power has a variable exponent above the bound 2147483647"),
+    ("x2^0*x1", None, "x1"),
+    ("x99^2", 3, "variable x99 out of range for arity 3"),
+    ("x3^2", None, "x3^2"),
+    ("x1^2^3", None, "trailing input from token '^3'"),
+    ("x1^2x2", None, "trailing input from token 'x2'"),
+]
+
+
+@pytest.mark.parametrize(("text", "arity", "expected"), VARIABLE_POWERS,
+                         ids=[t for t, _, _ in VARIABLE_POWERS])
+def test_variable_powers_read_as_before(text, arity, expected):
+    try:
+        result = str(parse_poly(text, arity))
+    except ParseError as exc:
+        result = str(exc)
+    assert result == expected
+    if expected == "x3^2":
+        assert parse_poly(text).arity == 3
+
+
 def test_a_zero_factor_stops_the_overflow_check():
     # as in the kernel, a product with a zero operand is zero and checks nothing
     top = "x1^2147483647"
