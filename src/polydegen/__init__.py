@@ -33,7 +33,6 @@ from .errors import (
     ParseError,
     PoleAtZero,
     PolydegenError,
-    ZeroPolynomial,
 )
 from .family import FamilyInstance, build_family, slice_coefficients
 from .multipoly import MultiPoly, RingMode
@@ -62,7 +61,6 @@ __all__ = [
     "TamenessWord",
     "TriangularDerivation",
     "WildnessReport",
-    "ZeroPolynomial",
     "build_conjugation",
     "build_family",
     "build_stabilization",

@@ -111,6 +111,15 @@ def _write(payload: str, out: str | None) -> None:
         sys.stdout.write(payload)
 
 
+def _read_document(path: str) -> dict:
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        return loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
 def cmd_family(args: argparse.Namespace) -> int:
     fam = build_family(args.l)
     _emit(family_document(fam), args)
@@ -121,8 +130,7 @@ def _family_for(args: argparse.Namespace) -> FamilyInstance:
     if args.input is not None and args.l is not None:
         raise ParseError("give either --l or --in, not both")
     if args.input is not None:
-        with open(args.input, "r", encoding="utf-8") as handle:
-            doc = loads(handle.read())
+        doc = _read_document(args.input)
         if doc.get("kind") != "family":
             raise ParseError("--in expects a family document")
         l = doc.get("l")
@@ -163,8 +171,7 @@ def cmd_smith(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    with open(args.input, "r", encoding="utf-8") as handle:
-        doc = loads(handle.read())
+    doc = _read_document(args.input)
     embedded = doc.get("transcript")
     if not isinstance(embedded, list):
         raise ParseError("document has no transcript to verify against")

@@ -15,11 +15,6 @@ from ._record import Record
 from .errors import ArityMismatch, KernelViolation, NonUnit, NotTriangular
 from .multipoly import MultiPoly, RingMode
 
-# Triangularity bounds every nilpotency index that can occur here by a
-# product of per-variable degrees; anything past this cap is a logic error,
-# not a big example.
-_NILPOTENCY_CAP = 10_000
-
 
 class TriangularDerivation(Record):
     """The derivation sending x_i to images[i-1].
@@ -63,25 +58,6 @@ class TriangularDerivation(Record):
             [f * poly.diff(i) for i, f in enumerate(self.images, start=1) if not f.is_zero()],
         )
 
-    def nilpotency_exponent(self, poly: MultiPoly) -> int:
-        """Smallest k with delta^k(poly) = 0.
-
-        >>> t = MultiPoly.parameter(3)
-        >>> x1 = MultiPoly.variable(3, 1)
-        >>> x2 = MultiPoly.variable(3, 2)
-        >>> delta = TriangularDerivation((t, x1, -2 * x2))
-        >>> delta.nilpotency_exponent(MultiPoly.variable(3, 3))
-        4
-        """
-        current = poly
-        k = 0
-        while not current.is_zero():
-            current = self.apply(current)
-            k += 1
-            if k > _NILPOTENCY_CAP:
-                raise RuntimeError("derivation does not appear nilpotent; triangularity broken")
-        return k
-
     # ------------------------------------------------------------ exponential
 
     def exp(self, h: MultiPoly | None = None):
@@ -107,23 +83,8 @@ class TriangularDerivation(Record):
             raise ArityMismatch(f"h has arity {h.arity}, derivation has {n}")
         if not self.apply(h).is_zero():
             raise KernelViolation("h is not killed by the derivation")
-        images = []
-        for i in range(1, n + 1):
-            term = MultiPoly.variable(n, i)
-            summands = [term]
-            k = 0
-            h_power = MultiPoly.one(n)
-            while True:
-                term = self.apply(term)
-                if term.is_zero():
-                    break
-                k += 1
-                h_power = h_power * h
-                if h_power.is_zero():
-                    break
-                summands.append(h_power * term * Fraction(1, math.factorial(k)))
-            images.append(MultiPoly.sum(n, summands))
-        return PolyEndo(tuple(images))
+        powers = [MultiPoly.one(n), h]  # h^k, shared by the n images
+        return PolyEndo(tuple(self._series(MultiPoly.variable(n, i), h, powers) for i in range(1, n + 1)))
 
     # ------------------------------------------------------------------ slice
 
@@ -149,20 +110,22 @@ class TriangularDerivation(Record):
             raise NonUnit("delta(x1) must be a scalar to define the slice")
         if not f1.is_unit(RingMode.LAURENT):
             raise NonUnit(f"delta(x1) = {f1} is not a unit of Q[t,t^-1]")
-        ratio = MultiPoly.variable(n, 1) * f1**-1
+        s = -MultiPoly.variable(n, 1) * f1**-1
+        return self._series(poly, s, [MultiPoly.one(n), s])
+
+    def _series(self, poly: MultiPoly, s: MultiPoly, powers: list[MultiPoly]) -> MultiPoly:
+        """The finite sum of s^k * delta^k(poly) / k!; powers[k] = s^k, appended as needed."""
         summands = [poly]
         term = poly
-        power = MultiPoly.one(n)
         k = 0
         while True:
             term = self.apply(term)
             if term.is_zero():
-                break
+                return MultiPoly.sum(poly.arity, summands)
             k += 1
-            power = power * ratio
-            sign = Fraction(-1, 1) ** k
-            summands.append(term * power * (sign / math.factorial(k)))
-        return MultiPoly.sum(n, summands)
+            if k == len(powers):
+                powers.append(powers[-1] * s)
+            summands.append(powers[k] * term * Fraction(1, math.factorial(k)))
 
     def kernel_generators(self) -> tuple[MultiPoly, ...]:
         """The slice images (sigma(x2),...,sigma(xn)).

@@ -666,6 +666,8 @@ def loads(text: str) -> dict:
         doc = json.loads(text)
     except ValueError as exc:  # a JSONDecodeError, or an integer too long for int()
         raise ParseError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: arrays or objects nested too deeply") from None
     if not isinstance(doc, dict):
         raise ParseError("a document must be a JSON object")
     return doc

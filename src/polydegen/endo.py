@@ -116,30 +116,6 @@ class PolyEndo(Record):
                 return False
         return True
 
-    def is_elementary(self) -> bool:
-        """At most one variable moves, and its shift avoids that variable.
-
-        >>> x1 = MultiPoly.variable(2, 1)
-        >>> x2 = MultiPoly.variable(2, 2)
-        >>> PolyEndo((x1 + x2**2, x2)).is_elementary()
-        True
-        >>> PolyEndo((x1 + x1 * x2, x2)).is_elementary()
-        False
-        """
-        n = self.arity
-        moved = [
-            i
-            for i in range(1, n + 1)
-            if self.images[i - 1] != MultiPoly.variable(n, i)
-        ]
-        if not moved:
-            return True
-        if len(moved) > 1:
-            return False
-        i = moved[0]
-        shift = self.images[i - 1] - MultiPoly.variable(n, i)
-        return not shift.involves(i)
-
     def is_triangular_up_to_permutation(
         self, mode: RingMode = RingMode.LAURENT
     ) -> tuple[int, ...] | None:

@@ -9,10 +9,6 @@ class ArityMismatch(PolydegenError, ValueError):
     """Operands live over polynomial rings in different numbers of variables."""
 
 
-class ZeroPolynomial(PolydegenError, ValueError):
-    """A degree was requested for the zero polynomial."""
-
-
 class PoleAtZero(PolydegenError, ArithmeticError):
     """Evaluation at t = 0 hit a negative power of t."""
 

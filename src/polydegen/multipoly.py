@@ -32,7 +32,6 @@ from .errors import (
     ExponentOverflow,
     NonUnit,
     PoleAtZero,
-    ZeroPolynomial,
 )
 
 _W = K.SLOT_BITS
@@ -220,24 +219,6 @@ class MultiPoly:
         if mode is RingMode.POLY:
             return key == 0
         return not key & ((1 << (self.arity * _W)) - 1)
-
-    def degree_in(self, index: int) -> int:
-        """Degree in the variable x_index; the zero polynomial has none.
-
-        >>> MultiPoly(2, {(2, 1, 0): 1, (0, 3, -1): 2}).degree_in(2)
-        3
-        """
-        shift = self._shift(index)
-        if not self._terms:
-            raise ZeroPolynomial("the zero polynomial has no degree")
-        return max((key >> shift) & _SLOT for key in self._terms)
-
-    def total_degree(self) -> int:
-        """Total degree in the variables (t does not count)."""
-        if not self._terms:
-            raise ZeroPolynomial("the zero polynomial has no degree")
-        low_mask = (1 << (self.arity * _W)) - 1
-        return max(_degree(key & low_mask) for key in self._terms)
 
     def involves(self, index: int) -> bool:
         """True when x_index occurs in some term."""

@@ -4,10 +4,12 @@ The divisibility oracle decides whether a quotient exists by solving a
 dense linear system for the quotient coefficients with Gaussian
 elimination over Fraction. It shares no code with the elimination-based
 `exact_divide` it is checking.  The variable-order oracle tries all n!
-orders where the library walks a dependency graph.
+orders where the library walks a dependency graph.  The exponential
+oracles sum each series in its own loop, as written in the paper.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 from polydegen.endo import PolyEndo
@@ -17,6 +19,12 @@ from polydegen.multipoly import MultiPoly
 def _t_range(poly):
     exps = [key[-1] for key, _ in poly.terms()]
     return min(exps), max(exps)
+
+
+def _degrees(poly):
+    """Per-variable degrees and total degree of a nonzero poly (t does not count)."""
+    powers = [key[:-1] for key, _ in poly.terms()]
+    return [max(column) for column in zip(*powers)], max(sum(p) for p in powers)
 
 
 def solve_linear(rows, rhs):
@@ -62,18 +70,17 @@ def divide_by_linear_system(dividend, divisor):
     if dividend.is_zero():
         return MultiPoly.zero(dividend.arity)
     arity = dividend.arity
-    var_bounds = []
-    for i in range(1, arity + 1):
-        bound = dividend.degree_in(i) - divisor.degree_in(i)
-        if bound < 0:
-            return None
-        var_bounds.append(bound)
+    n_degrees, n_total = _degrees(dividend)
+    d_degrees, d_total = _degrees(divisor)
+    var_bounds = [a - b for a, b in zip(n_degrees, d_degrees)]
+    if min(var_bounds) < 0:
+        return None
     n_lo, n_hi = _t_range(dividend)
     d_lo, d_hi = _t_range(divisor)
     t_lo, t_hi = n_lo - d_lo, n_hi - d_hi
     if t_lo > t_hi:
         return None
-    total_bound = dividend.total_degree() - divisor.total_degree()
+    total_bound = n_total - d_total
 
     candidates = [
         powers + (t_exp,)
@@ -101,6 +108,50 @@ def divide_by_linear_system(dividend, divisor):
     if solution is None:
         return None
     return MultiPoly(arity, {key: value for key, value in zip(candidates, solution) if value})
+
+
+# ------------------------------------------------------------ exponentials
+#
+# The two series written out separately, one loop each, with the powers of
+# h and of -x1/f1 built afresh for every image: sum_k h^k delta^k(x_i)/k!
+# for exp(h*delta) and sum_k delta^k(p)/k! * (-x1/f1)^k for the slice map.
+
+
+def reference_exp(delta, h):
+    """The images of exp(h*delta), h in the kernel of delta, as a tuple."""
+    n = delta.arity
+    images = []
+    for i in range(1, n + 1):
+        term = MultiPoly.variable(n, i)
+        image = term
+        h_power = MultiPoly.one(n)
+        k = 0
+        while True:
+            term = delta.apply(term)
+            if term.is_zero():
+                break
+            k += 1
+            h_power = h_power * h
+            image = image + h_power * term * Fraction(1, math.factorial(k))
+        images.append(image)
+    return tuple(images)
+
+
+def reference_sigma(delta, poly):
+    """The slice image of poly; delta(x1) must be a unit c*t^j."""
+    n = delta.arity
+    ratio = MultiPoly.variable(n, 1) * delta.images[0] ** -1
+    value = poly
+    term = poly
+    power = MultiPoly.one(n)
+    k = 0
+    while True:
+        term = delta.apply(term)
+        if term.is_zero():
+            return value
+        k += 1
+        power = power * ratio
+        value = value + term * power * (Fraction(-1) ** k / math.factorial(k))
 
 
 # ------------------------------------------------------------ term kernel

@@ -196,7 +196,9 @@ def test_stabilization_factors_invert(families):
     gamma_inv, rho_inv, gamma, rho = stab.factor_word()
     assert gamma.verify_inverse_pair(gamma_inv)
     assert rho.verify_inverse_pair(rho_inv)
-    assert gamma.is_elementary()
+    # gamma fixes x1..x3 and shifts the fresh variable by h
+    assert gamma.images[:3] == PolyEndo.identity(4).images[:3]
+    assert gamma.images[3] == parse_poly("x4", arity=4) + fam.h.extend_arity(4)
 
 
 def test_stabilization_specializes(families):

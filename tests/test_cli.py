@@ -224,6 +224,30 @@ def test_verify_parse_problems_exit_two(tmp_path, capsys):
     assert run(["verify", "--in", str(no_transcript)], capsys)[0] == 2
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000, b'{"a":' * 100_000 + b"1" + b"}" * 100_000],
+    ids=["not UTF-8", "deep arrays", "deep objects"],
+)
+@pytest.mark.parametrize(
+    "command", [["verify"], ["specialize", "--alpha", "2"]], ids=["verify", "specialize"]
+)
+def test_an_unreadable_document_exits_two(tmp_path, command, content):
+    # a fresh process, so that a traceback would reach stderr and exit 1
+    bad = tmp_path / "unreadable.json"
+    bad.write_bytes(content)
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "polydegen", *command, "--in", str(bad)],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert result.returncode == 2, result.stderr
+    assert time.perf_counter() - start < 5.0
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+
+
 def test_verify_rejects_an_exponent_beyond_the_bound(tmp_path, capsys):
     doc = json.loads(run(["family", "--l", "1"], capsys)[1])
     doc["h"] = "x1^99999999999"

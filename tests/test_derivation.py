@@ -4,17 +4,45 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import rand_poly
+from oracles import reference_exp, reference_sigma
 from polydegen import parse_poly
 from polydegen.derivation import TriangularDerivation
 from polydegen.errors import KernelViolation, NonUnit, NotTriangular
-from polydegen.multipoly import MultiPoly
+from polydegen.multipoly import MultiPoly, RingMode
 
 
 def make_delta(*texts):
     n = len(texts)
     return TriangularDerivation(tuple(parse_poly(s, arity=n) for s in texts))
+
+
+ARITY = 3
+examples = settings(derandomize=True, database=None, max_examples=40, deadline=None)
+coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=6).filter(bool)
+t_powers = st.integers(-2, 2)
+
+
+@st.composite
+def polys_below(draw, i):
+    """A polynomial in t and x1..x_{i-1} of arity ARITY, possibly zero."""
+    powers = st.tuples(*(st.integers(0, 2) for _ in range(i - 1)), t_powers)
+    terms = draw(st.dictionaries(powers, coeffs, max_size=3))
+    pad = (0,) * (ARITY - i + 1)
+    return MultiPoly(ARITY, {key[:-1] + pad + key[-1:]: c for key, c in terms.items()})
+
+
+@st.composite
+def triangular(draw, unit_f1=st.booleans()):
+    """A triangular derivation; delta(x1) is c*t^j when unit_f1 draws True, else any scalar."""
+    if draw(unit_f1):
+        f1 = MultiPoly(ARITY, {(0,) * ARITY + (draw(t_powers),): draw(coeffs)})
+    else:
+        f1 = draw(polys_below(1))
+    return TriangularDerivation((f1,) + tuple(draw(polys_below(i)) for i in range(2, ARITY + 1)))
 
 
 @pytest.fixture
@@ -47,18 +75,6 @@ def test_apply_on_variables_and_leibniz(delta):
         assert delta.apply(a + b) == delta.apply(a) + delta.apply(b)
 
 
-def test_nilpotency(delta):
-    q = parse_poly("x3^2", arity=3)
-    e = delta.nilpotency_exponent(q)
-    p = q
-    for _ in range(e):
-        p = delta.apply(p)
-    assert p.is_zero()
-    assert e == 7
-    assert delta.nilpotency_exponent(MultiPoly.zero(3)) == 0
-    assert delta.nilpotency_exponent(parse_poly("x1", arity=3)) == 2
-
-
 def test_exp_is_an_automorphism(delta):
     phi = delta.exp()
     # exp of a derivation is a ring map: check multiplicativity on samples
@@ -83,6 +99,31 @@ def test_exp_inverse_via_negated_potential(delta):
     phi = delta.exp(g2)
     psi = delta.exp(-g2)
     assert phi.verify_inverse_pair(psi)
+
+
+@settings(examples)
+@given(triangular(), st.sampled_from(["one", "zero", "scalar", "slice image"]), polys_below(1))
+def test_exp_is_the_reference_series(delta, kind, scalar):
+    # a slice image needs delta(x1) to be a unit; otherwise h is the scalar
+    if kind == "slice image" and delta.images[0].is_unit(RingMode.LAURENT):
+        h = delta.sigma(delta.images[2] + MultiPoly.variable(ARITY, 2))
+    else:
+        h = {"one": MultiPoly.one(ARITY), "zero": MultiPoly.zero(ARITY)}.get(kind, scalar)
+    assert delta.exp(h).images == reference_exp(delta, h)
+
+
+@settings(examples)
+@given(triangular(unit_f1=st.just(True)), polys_below(ARITY + 1))
+def test_sigma_is_the_reference_series(delta, poly):
+    assert delta.sigma(poly) == reference_sigma(delta, poly)
+
+
+@pytest.mark.parametrize("l", (1, 2, 3, 4))
+def test_family_series_match_the_reference(families, l):
+    fam = families[l]
+    assert fam.automorphism.images == reference_exp(fam.delta, fam.h)
+    for i, g in enumerate(fam.delta.kernel_generators(), start=2):
+        assert g == reference_sigma(fam.delta, MultiPoly.variable(fam.delta.arity, i))
 
 
 def test_sigma_requires_unit_f1():

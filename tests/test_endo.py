@@ -104,16 +104,6 @@ def test_triangular_detection():
     assert not endo("x1*x2", "x2", "x3").is_triangular()
 
 
-def test_elementary_detection():
-    assert endo("x1 + x2^2", "x2", "x3").is_elementary()
-    assert endo("x1", "x2", "x3 + t*x1").is_elementary()
-    assert PolyEndo.identity(3).is_elementary()
-    assert not endo("x1 + x2", "x2 + 1", "x3").is_elementary()
-    assert not endo("2*x1", "x2", "x3").is_elementary()
-    # the shift may not involve its own variable
-    assert not endo("x1 + x1*x2", "x2", "x3").is_elementary()
-
-
 def test_triangular_after_reordering():
     # shifting x1 by later variables becomes triangular once the variable
     # order is reversed
