@@ -34,7 +34,7 @@ from .errors import (
     PoleAtZero,
     PolydegenError,
 )
-from .family import FamilyInstance, build_family, slice_coefficients
+from .family import build_family, slice_coefficients
 from .multipoly import MultiPoly, RingMode
 from .parsing import parse_poly, parse_rational
 
@@ -46,7 +46,6 @@ __all__ = [
     "CoefficientTooLong",
     "ConjugationCertificate",
     "ExponentOverflow",
-    "FamilyInstance",
     "HypothesisViolation",
     "KernelViolation",
     "MultiPoly",

@@ -18,11 +18,7 @@ import argparse
 import sys
 from fractions import Fraction
 
-from .certificates import (
-    ConjugationCertificate,
-    build_stabilization,
-    specialized_tameness,
-)
+from .certificates import build_conjugation, build_stabilization, specialized_tameness
 from .documents import (
     dumps,
     family_document,
@@ -34,7 +30,7 @@ from .documents import (
     word_document,
 )
 from .errors import ParseError, PolydegenError
-from .family import FamilyInstance, build_family
+from .family import build_family
 from .parsing import parse_rational
 
 
@@ -121,12 +117,11 @@ def _read_document(path: str) -> dict:
 
 
 def cmd_family(args: argparse.Namespace) -> int:
-    fam = build_family(args.l)
-    _emit(family_document(fam), args)
+    _emit(family_document(args.l, build_conjugation(*build_family(args.l))), args)
     return 0
 
 
-def _family_for(args: argparse.Namespace) -> FamilyInstance:
+def _l_for(args: argparse.Namespace) -> int:
     if args.input is not None and args.l is not None:
         raise ParseError("give either --l or --in, not both")
     if args.input is not None:
@@ -136,37 +131,28 @@ def _family_for(args: argparse.Namespace) -> FamilyInstance:
         l = doc.get("l")
         if not isinstance(l, int) or isinstance(l, bool) or l < 1:
             raise ParseError("family document has no usable l")
-        return build_family(l)
+        return l
     if args.l is None:
         raise ParseError("specialize needs --l or --in")
-    return build_family(args.l)
+    return args.l
 
 
 def cmd_specialize(args: argparse.Namespace) -> int:
-    fam = _family_for(args)
+    l = _l_for(args)
+    delta, h = build_family(l)
     if args.alpha == 0:
-        doc = wildness_document(fam.delta, fam.h, l=fam.l)
+        doc = wildness_document(delta, h, l=l)
     else:
-        cert = ConjugationCertificate(
-            delta=fam.delta,
-            h=fam.h,
-            tau=fam.tau,
-            tau_inv=fam.tau_inv,
-            epsilon=fam.epsilon,
-            slice_potential=fam.slice_potential,
-            automorphism=fam.automorphism,
-        )
-        word = specialized_tameness(cert, args.alpha)
-        doc = word_document(word, fam.delta, fam.h, l=fam.l)
+        word = specialized_tameness(build_conjugation(delta, h), args.alpha)
+        doc = word_document(word, delta, h, l=l)
     _emit(doc, args)
     return 0
 
 
 def cmd_smith(args: argparse.Namespace) -> int:
-    fam = build_family(args.l)
-    stab = build_stabilization(fam.delta, fam.h)
+    stab = build_stabilization(*build_family(args.l))
     bounds = {"nonzero_alpha": 3, "zero_alpha": 4, "zero_alpha_exactness": "claimed"}
-    _emit(stabilization_document(stab, l=fam.l, bounds=bounds), args)
+    _emit(stabilization_document(stab, l=args.l, bounds=bounds), args)
     return 0
 
 

@@ -12,6 +12,7 @@ import math
 from fractions import Fraction
 
 from ._record import Record
+from .endo import PolyEndo
 from .errors import ArityMismatch, KernelViolation, NonUnit, NotTriangular
 from .multipoly import MultiPoly, RingMode
 
@@ -60,7 +61,7 @@ class TriangularDerivation(Record):
 
     # ------------------------------------------------------------ exponential
 
-    def exp(self, h: MultiPoly | None = None):
+    def exp(self, h: MultiPoly | None = None) -> PolyEndo:
         """The automorphism exp(h*delta), with h in the kernel of delta.
 
         Omitting h means h = 1.  Images are the finite sums
@@ -74,8 +75,6 @@ class TriangularDerivation(Record):
         >>> print(delta.exp().images[1])
         x1 + x2 + (1/2*t)
         """
-        from .endo import PolyEndo
-
         n = self.arity
         if h is None:
             h = MultiPoly.one(n)

@@ -36,7 +36,7 @@ from .certificates import (
 from .derivation import TriangularDerivation
 from .endo import PolyEndo
 from .errors import CheckFailed, ParseError, PolydegenError
-from .family import FamilyInstance, has_limit_shape
+from .family import has_limit_shape, slice_coefficients
 from .multipoly import MultiPoly, RingMode
 from .parsing import parse_poly, parse_rational
 
@@ -129,28 +129,28 @@ def _finish(doc: dict) -> dict:
     return doc
 
 
-def family_document(fam: FamilyInstance) -> dict:
-    report = check_wild_at_zero(fam.delta, fam.h)
+def family_document(l: int, cert: ConjugationCertificate) -> dict:
+    delta, h = cert.delta, cert.h
     doc = {
         "format_version": FORMAT_VERSION,
         "kind": "family",
-        "l": fam.l,
+        "l": l,
         "arity": 3,
         "ring_mode": RingMode.LAURENT.value,
-        "coefficients": [str(c) for c in fam.coefficients],
-        "derivation": [str(f) for f in fam.delta.images],
-        "g2": str(fam.g2),
-        "g3": str(fam.g3),
-        "tau": _images(fam.tau),
-        "tau_inv": _images(fam.tau_inv),
-        "slice_potential": str(fam.slice_potential),
-        "epsilon": _images(fam.epsilon),
-        "h": str(fam.h),
-        "automorphism": _images(fam.automorphism),
-        "derivation_at_zero": [str(f) for f in fam.delta_zero.images],
-        "h_limit": str(fam.h_limit),
-        "fiber_at_zero": _images(fam.fiber_zero),
-        "wildness": _wildness_fields(report),
+        "coefficients": [str(c) for c in slice_coefficients(l)],
+        "derivation": [str(f) for f in delta.images],
+        "g2": str(cert.tau.images[1]),
+        "g3": str(cert.tau.images[2]),
+        "tau": _images(cert.tau),
+        "tau_inv": _images(cert.tau_inv),
+        "slice_potential": str(cert.slice_potential),
+        "epsilon": _images(cert.epsilon),
+        "h": str(h),
+        "automorphism": _images(cert.automorphism),
+        "derivation_at_zero": [str(f) for f in delta.specialize(0).images],
+        "h_limit": str(h.specialize_t(0)),
+        "fiber_at_zero": _images(cert.automorphism.specialize(0)),
+        "wildness": _wildness_fields(check_wild_at_zero(delta, h)),
     }
     return _finish(doc)
 

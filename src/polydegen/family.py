@@ -1,53 +1,31 @@
 """The degenerating family.
 
-For each l >= 1 there is a triangular derivation
+For each l >= 1 the family member is the pair (delta, h): the triangular
+derivation
 
     delta = (t, x1, -(l+1)*x2^l)
 
-over Q[t], a kernel element h built from a slice potential p, and the
-automorphism phi = exp(h*delta) of Q[t,t^-1][x1,x2,x3].  Away from t = 0
-phi is conjugate to the elementary shift (x1 + t*p, x2, x3) by the
-triangular map tau = (x1, g2, g3), so every fiber there is tame.  All the
-data is regular at t = 0, and the limit fiber is exp(h_limit * delta_0)
-with delta_0 = (0, x1, -(l+1)*x2^l), which fails to be tame (see
+over Q[t], and the kernel element h = sigma(p) for a closed-form slice
+potential p.  Everything else is a certificate about the automorphism
+phi = exp(h*delta) of Q[t,t^-1][x1,x2,x3], built from the pair by the
+general builders of certificates.  Away from t = 0 phi is conjugate to the
+elementary shift (x1 + t*p, x2, x3) by the triangular map tau = (x1, g2, g3)
+(certificates.build_conjugation), so every fiber there is tame.  The pair
+is regular at t = 0, and the limit fiber is exp(h_limit * delta_0) with
+delta_0 = (0, x1, -(l+1)*x2^l), which fails to be tame (see
 certificates.check_wild_at_zero).
 
-build_family constructs all of this exactly; the identities it relies on
-are checked by the family document's check list (see
-documents.family_document), which refuses to emit a failing instance.
+The identities the family relies on are checked by the family document's
+check list (see documents.family_document), which refuses to emit a failing
+member.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from ._record import Record
 from .derivation import TriangularDerivation
-from .endo import PolyEndo
 from .multipoly import MultiPoly
-
-
-class FamilyInstance(Record):
-    """All exact data attached to one value of l."""
-
-    l: int
-    coefficients: tuple[Fraction, ...]
-    delta: TriangularDerivation
-    g2: MultiPoly
-    g3: MultiPoly
-    tau: PolyEndo
-    tau_inv: PolyEndo
-    slice_potential: MultiPoly
-    epsilon: PolyEndo
-    h: MultiPoly
-    automorphism: PolyEndo
-    delta_zero: TriangularDerivation
-    h_limit: MultiPoly
-    fiber_zero: PolyEndo
-
-    def fiber(self, alpha: int | Fraction) -> PolyEndo:
-        """The specialized automorphism at t = alpha."""
-        return self.automorphism.specialize(alpha)
 
 
 def slice_coefficients(l: int) -> tuple[Fraction, ...]:
@@ -65,11 +43,12 @@ def slice_coefficients(l: int) -> tuple[Fraction, ...]:
     return tuple(coeffs)
 
 
-def build_family(l: int) -> FamilyInstance:
-    """Construct the family member for a given l >= 1.
+def build_family(l: int) -> tuple[TriangularDerivation, MultiPoly]:
+    """The pair (delta, h) for a given l >= 1.
 
-    g2 and g3 are the slice images of x2 and x3, and h = tau(p) for the
-    closed-form slice potential p.
+    h = sigma(p) for the closed-form slice potential p.  sigma is a ring map
+    that kills x1, and p involves only x2 and x3, so h = p(g2, g3) = tau(p)
+    for the slice images g2 and g3.
     """
     if l < 1:
         raise ValueError("l must be at least 1")
@@ -80,32 +59,12 @@ def build_family(l: int) -> FamilyInstance:
     t = MultiPoly.parameter(n)
 
     delta = TriangularDerivation((t, x1, -(l + 1) * x2**l))
-    coeffs = slice_coefficients(l)
-    g2, g3 = delta.kernel_generators()
-    tau = PolyEndo((x1, g2, g3))
-    c_l = coeffs[l]
+    c_l = slice_coefficients(l)[l]
     p = (
         ((2 * x2) ** (2 * l + 1) + t * (x3 / c_l) ** 2)
         * MultiPoly(n, {(0, 0, 0, l): c_l / 2})
     )
-    h = tau.apply(p)
-    automorphism = delta.exp(h)
-    return FamilyInstance(
-        l=l,
-        coefficients=coeffs,
-        delta=delta,
-        g2=g2,
-        g3=g3,
-        tau=tau,
-        tau_inv=tau.invert_triangular(),
-        slice_potential=p,
-        epsilon=PolyEndo((x1 + t * p, x2, x3)),
-        h=h,
-        automorphism=automorphism,
-        delta_zero=delta.specialize(0),
-        h_limit=h.specialize_t(0),
-        fiber_zero=automorphism.specialize(0),
-    )
+    return delta, delta.sigma(p)
 
 
 def has_limit_shape(h: MultiPoly, l: int, c_l: Fraction) -> bool:

@@ -9,22 +9,23 @@ from fractions import Fraction
 
 import pytest
 
-from polydegen import build_family
+from polydegen import build_conjugation, build_family
 from polydegen.multipoly import MultiPoly
 
 _FAMILY_CACHE: dict[int, object] = {}
 
 
 def family(l):
-    """Build (and cache) the degeneration family for a given l."""
+    """Build (and cache) the conjugation certificate of the family member
+    for a given l; its delta and h are the pair build_family returns."""
     if l not in _FAMILY_CACHE:
-        _FAMILY_CACHE[l] = build_family(l)
+        _FAMILY_CACHE[l] = build_conjugation(*build_family(l))
     return _FAMILY_CACHE[l]
 
 
 @pytest.fixture(scope="session")
 def families():
-    """The family instances for l = 1..4, keyed by l."""
+    """The family members' conjugation certificates for l = 1..4, keyed by l."""
     return {l: family(l) for l in (1, 2, 3, 4)}
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from polydegen import parse_poly
+from polydegen import MultiPoly, parse_poly, slice_coefficients
 from polydegen.certificates import (
     TAME,
     WILD,
@@ -45,7 +45,7 @@ def test_wildness_residues_are_recorded(families):
     fam = families[1]
     report = check_wild_at_zero(fam.delta, fam.h)
     assert report.f2_residue == parse_poly("x1", arity=3)
-    assert report.h_residue == fam.h_limit
+    assert report.h_residue == fam.h.specialize_t(0)
     assert report.derivative_residue == parse_poly("-2", arity=3)
 
 
@@ -86,7 +86,8 @@ def test_wildness_hypotheses_are_checked(families):
         check_wild_at_zero(delta, parse_poly("0", arity=3))
     # everything must be regular at t = 0; g2^2*t has valuation -1
     with pytest.raises(HypothesisViolation):
-        check_wild_at_zero(fam.delta, fam.g2 * fam.g2 * parse_poly("t", arity=3))
+        g2 = fam.tau.images[1]
+        check_wild_at_zero(fam.delta, g2 * g2 * parse_poly("t", arity=3))
     two_var = TriangularDerivation(
         (parse_poly("t", arity=2), parse_poly("x1", arity=2))
     )
@@ -98,12 +99,23 @@ def test_wildness_hypotheses_are_checked(families):
 
 
 def test_build_conjugation_matches_family(families):
-    for fam in families.values():
-        cert = build_conjugation(fam.delta, fam.h)
-        assert cert.tau == fam.tau
-        assert cert.epsilon == fam.epsilon
-        assert cert.slice_potential == fam.slice_potential
-        assert cert.automorphism == fam.automorphism
+    # the general builder recovers the closed forms of the family's slice
+    # potential p and slice images g2, g3
+    x1, x2, x3 = (MultiPoly.variable(3, i) for i in (1, 2, 3))
+    t = MultiPoly.parameter(3)
+    for l, cert in families.items():
+        c = slice_coefficients(l)
+        p = ((2 * x2) ** (2 * l + 1) + t * (x3 / c[l]) ** 2) * MultiPoly(
+            3, {(0, 0, 0, l): c[l] / 2}
+        )
+        g2 = x2 + MultiPoly(3, {(2, 0, 0, -1): Fraction(-1, 2)})
+        g3 = MultiPoly.sum(
+            3, [x3] + [MultiPoly(3, {(2 * i + 1, l - i, 0, -(i + 1)): c[i]}) for i in range(l + 1)]
+        )
+        assert cert.slice_potential == p
+        assert cert.tau.images[1:] == (g2, g3)
+        assert cert.epsilon == PolyEndo((x1 + t * p, x2, x3))
+        assert cert.automorphism == cert.delta.exp(cert.h)
         assert PolyEndo.compose_chain(
             (cert.tau, cert.epsilon, cert.tau_inv)
         ) == cert.automorphism
@@ -140,8 +152,7 @@ def test_factor_kind_classification():
 
 
 def test_specialized_tameness_words(families):
-    fam = families[1]
-    cert = build_conjugation(fam.delta, fam.h)
+    cert = families[1]
     for alpha in (1, -1, 2, Fraction(1, 2)):
         word = specialized_tameness(cert, alpha)
         assert word.alpha == Fraction(alpha)
@@ -152,14 +163,13 @@ def test_specialized_tameness_words(families):
             "triangular",
         )
         assert PolyEndo.compose_chain(word.factors) == word.fiber
-        assert word.fiber == fam.fiber(alpha)
+        assert word.fiber == cert.automorphism.specialize(alpha)
 
 
 def test_specialized_tameness_hits_the_pole_at_zero(families):
     # tau for the family has a pole at t = 0, so no three-factor word
     # comes out of this construction there
-    fam = families[1]
-    cert = build_conjugation(fam.delta, fam.h)
+    cert = families[1]
     with pytest.raises(PoleAtZero):
         specialized_tameness(cert, 0)
 

@@ -11,7 +11,6 @@ from pathlib import Path
 import pytest
 
 from conftest import family
-from polydegen.certificates import build_conjugation
 from polydegen.cli import main
 from polydegen.documents import conjugation_document, dumps
 
@@ -103,6 +102,15 @@ def test_specialize_reads_family_document(tmp_path, capsys):
     assert doc["alpha"] == "3"
 
 
+@pytest.mark.parametrize("alpha", ["0", "5/3"])
+def test_specialize_from_a_family_document_matches_specialize_by_l(tmp_path, capsys, alpha):
+    fam_path = tmp_path / "fam.json"
+    run(["family", "--l", "2", "--out", str(fam_path)], capsys)
+    from_document = run(["specialize", "--in", str(fam_path), f"--alpha={alpha}"], capsys)
+    assert from_document[0] == 0
+    assert from_document == run(["specialize", "--l", "2", f"--alpha={alpha}"], capsys)
+
+
 def test_specialize_flag_conflicts(tmp_path, capsys):
     fam_path = tmp_path / "fam.json"
     run(["family", "--l", "1", "--out", str(fam_path)], capsys)
@@ -150,8 +158,7 @@ def test_output_matches_pinned_digests(capsys, argv, prefix):
     # SHA-256 of each payload as emitted by earlier versions: the identity
     # texts, their order and every rendered polynomial stay byte-identical
     if argv is None:
-        fam = family(1)
-        payload = dumps(conjugation_document(build_conjugation(fam.delta, fam.h)))
+        payload = dumps(conjugation_document(family(1)))
     else:
         code, payload, _ = run(argv, capsys)
         assert code == 0
@@ -179,8 +186,7 @@ def test_verify_fails_fast_on_a_perturbed_stabilization_derivation(tmp_path, cap
     ids=["1000", "10^12", "5000 digits"],
 )
 def test_verify_rejects_a_huge_arity(tmp_path, capsys, arity, message):
-    fam = family(1)
-    text = dumps(conjugation_document(build_conjugation(fam.delta, fam.h)))
+    text = dumps(conjugation_document(family(1)))
     bad = tmp_path / "huge_arity.json"
     bad.write_text(text.replace('"arity": 3,', f'"arity": {arity},'))
     code, _, err = run(["verify", "--in", str(bad)], capsys)

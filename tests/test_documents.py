@@ -7,9 +7,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import family
-from polydegen import FamilyInstance, parse_poly
+from polydegen import parse_poly
 from polydegen.certificates import (
-    build_conjugation,
+    ConjugationCertificate,
     build_stabilization,
     specialized_tameness,
 )
@@ -30,15 +30,14 @@ from polydegen.errors import CheckFailed, ParseError
 
 @pytest.fixture(scope="module")
 def docs():
-    fam = family(1)
-    cert = build_conjugation(fam.delta, fam.h)
+    cert = family(1)
     word = specialized_tameness(cert, 2)
-    stab = build_stabilization(fam.delta, fam.h)
+    stab = build_stabilization(cert.delta, cert.h)
     return {
-        "family": family_document(fam),
+        "family": family_document(1, cert),
         "conjugation": conjugation_document(cert),
-        "wildness": wildness_document(fam.delta, fam.h, l=1),
-        "tameness_word": word_document(word, fam.delta, fam.h, l=1),
+        "wildness": wildness_document(cert.delta, cert.h, l=1),
+        "tameness_word": word_document(word, cert.delta, cert.h, l=1),
         "stabilization": stabilization_document(
             stab, l=1, bounds={"nonzero_alpha": 3, "zero_alpha": 4}
         ),
@@ -253,10 +252,11 @@ def test_semantic_breakage_is_reported_not_raised(docs):
 
 
 def test_emission_refuses_inconsistent_input():
-    fam = family(1)
-    broken = FamilyInstance(**{**vars(fam), "h_limit": fam.h_limit + parse_poly("x2", arity=3)})
+    cert = family(1)
+    tampered = cert.slice_potential + parse_poly("x2", arity=3)
+    broken = ConjugationCertificate(**{**vars(cert), "slice_potential": tampered})
     with pytest.raises(CheckFailed):
-        family_document(broken)
+        family_document(1, broken)
 
 
 def test_wildness_document_for_tame_control_is_consistent():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from polydegen import MultiPoly, RingMode, build_family, parse_poly, slice_coefficients
+from polydegen.documents import family_document
 from polydegen.family import has_limit_shape
 
 
@@ -37,11 +38,12 @@ def test_l_must_be_positive():
 
 def test_build_family_l1_frozen(families):
     fam = families[1]
-    assert fam.l == 1
-    assert fam.coefficients == (Fraction(2), Fraction(-2, 3))
-    assert str(fam.g2) == "(-1/2*t^-1)*x1^2 + x2"
-    assert str(fam.g3) == "(-2/3*t^-2)*x1^3 + (2*t^-1)*x1*x2 + x3"
-    assert str(fam.h_limit) == "x1^3*x3 + x1^2*x2^2"
+    delta, h = build_family(1)
+    assert (delta, h) == (fam.delta, fam.h)
+    g2, g3 = fam.tau.images[1:]
+    assert str(g2) == "(-1/2*t^-1)*x1^2 + x2"
+    assert str(g3) == "(-2/3*t^-2)*x1^3 + (2*t^-1)*x1*x2 + x3"
+    assert str(fam.h.specialize_t(0)) == "x1^3*x3 + x1^2*x2^2"
     assert str(fam.slice_potential) == "(-8/3*t)*x2^3 + (-3/4*t^2)*x3^2"
     phi_x1 = fam.automorphism.images[0]
     assert phi_x1 == parse_poly("x1", arity=3) + fam.h * parse_poly("t", arity=3)
@@ -57,8 +59,9 @@ def test_derivation_images(families):
 
 def test_kernel_identities(families):
     for fam in families.values():
-        assert fam.delta.apply(fam.g2).is_zero()
-        assert fam.delta.apply(fam.g3).is_zero()
+        g2, g3 = fam.tau.images[1:]
+        assert fam.delta.apply(g2).is_zero()
+        assert fam.delta.apply(g3).is_zero()
         assert fam.delta.apply(fam.h).is_zero()
 
 
@@ -77,42 +80,43 @@ def test_slice_potential_recovers_h(families):
 
 
 def test_limit_check(families):
-    for fam in families.values():
+    for l, fam in families.items():
         assert fam.h.is_t_regular()
-        assert fam.h.specialize_t(0) == fam.h_limit
+        assert family_document(l, fam)["h_limit"] == str(fam.h.specialize_t(0))
 
 
 def test_h_limit_closed_form(families):
     for l, fam in families.items():
         expected = parse_poly(f"x1^{2 * l}*(x1*x3 + x2^{l + 1})", arity=3)
-        assert fam.h_limit == expected
+        assert fam.h.specialize_t(0) == expected
 
 
 def test_h_shape_split(families):
     for l, fam in families.items():
-        assert has_limit_shape(fam.h, l, fam.coefficients[-1])
+        assert has_limit_shape(fam.h, l, slice_coefficients(l)[-1])
     # a wrong x3^2 coefficient, an x3 term without t, and a term with
     # neither x2 nor x3 each break the shape
     fam = families[1]
+    c_1 = slice_coefficients(1)[-1]
     for extra in ("x3^2", "x1*x3", "t^5*x1"):
         broken = fam.h + parse_poly(extra, arity=3)
-        assert not has_limit_shape(broken, 1, fam.coefficients[-1]), extra
-    assert has_limit_shape(fam.h + parse_poly("t^-3*x2 + t*x3", arity=3), 1, fam.coefficients[-1])
+        assert not has_limit_shape(broken, 1, c_1), extra
+    assert has_limit_shape(fam.h + parse_poly("t^-3*x2 + t*x3", arity=3), 1, c_1)
 
 
 def test_fiber_specializations(families):
     fam = families[2]
-    for alpha in (1, Fraction(1, 2)):
-        fiber = fam.fiber(alpha)
+    for alpha in (0, 1, Fraction(1, 2)):
+        fiber = fam.automorphism.specialize(alpha)
         direct = fam.delta.specialize(alpha).exp(fam.h.specialize_t(alpha))
         assert fiber == direct
-    assert fam.fiber(0) == fam.fiber_zero
 
 
 def test_fiber_zero_is_exp_of_limit(families):
     for fam in families.values():
-        assert fam.fiber_zero == fam.delta_zero.exp(fam.h_limit)
-        assert fam.delta_zero.images[0].is_zero()
+        delta_zero = fam.delta.specialize(0)
+        assert fam.automorphism.specialize(0) == delta_zero.exp(fam.h.specialize_t(0))
+        assert delta_zero.images[0].is_zero()
 
 
 def test_epsilon_shifts_x1_by_t_times_potential(families):
@@ -129,4 +133,4 @@ def test_g2_leading_structure(families):
         expected = parse_poly("x2", arity=3) + parse_poly("x1^2", arity=3) * (
             MultiPoly(3, {(0, 0, 0, -1): Fraction(-1, 2)})
         )
-        assert fam.g2 == expected
+        assert fam.tau.images[1] == expected
