@@ -13,7 +13,8 @@ from __future__ import annotations
 class Record:
     """An immutable record whose fields are its class's annotated names.
 
-    A subclass lists its fields as annotations, in order.  An instance takes
+    A subclass lists its fields as annotations, in order, after those of the
+    record it derives from.  An instance takes
     them positionally or by keyword, runs ``__post_init__`` (which may set a
     field with ``object.__setattr__``), refuses assignment and deletion with
     ``AttributeError``, and compares, hashes and prints by its fields, as a
@@ -26,6 +27,12 @@ class Record:
     Point(x=1, y=2)
     >>> Point(1, 2) == Point(x=1, y=2), hash(Point(1, 2)) == hash(Point(1, 2))
     (True, True)
+    >>> class Point3(Point):
+    ...     z: int
+    >>> Point3(1, 2, z=3)
+    Point3(x=1, y=2, z=3)
+    >>> Point3(1, 2, 3) == Point3(x=1, y=2, z=3), Point3(1, 2, 3) == Point3(1, 2, 4)
+    (True, False)
     """
 
     __slots__ = ()
@@ -33,7 +40,7 @@ class Record:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._fields = tuple(vars(cls).get("__annotations__", ()))
+        cls._fields += tuple(vars(cls).get("__annotations__", ()))
 
     def __init__(self, *args, **kwargs):
         fields = self._fields

@@ -118,23 +118,18 @@ class ConjugationCertificate(Record):
 def build_conjugation(delta: TriangularDerivation, h: MultiPoly) -> ConjugationCertificate:
     """Factor exp(h*delta) through an elementary map.
 
-    Needs delta(x1) to be a unit scalar of Q[t,t^-1] and delta(h) = 0.
-    tau collects the slice images and p is h with x1 sent to zero.  The
-    identities, tau o epsilon o tau_inv = exp(h*delta) among them, are
-    checked by the conjugation document's check list.
+    Needs delta(x1) to be a unit scalar of Q[t,t^-1] and delta(h) = 0, which
+    ``delta.exp(h)`` checks.  tau collects the slice images and p is h with
+    x1 sent to zero.  The identities, tau o epsilon o tau_inv = exp(h*delta)
+    among them, are checked by the conjugation document's check list.
     """
-    n = delta.arity
-    if h.arity != n:
-        raise KernelViolation(f"h has arity {h.arity}, derivation has {n}")
     f1 = delta.images[0]
     if not f1.is_unit(RingMode.LAURENT):
         raise NonUnit(f"delta(x1) = {f1} is not a unit scalar of Q[t,t^-1]")
-    if not delta.apply(h).is_zero():
-        raise KernelViolation("h is not killed by the derivation")
-
-    variables = [MultiPoly.variable(n, i) for i in range(1, n + 1)]
+    automorphism = delta.exp(h)
+    variables = [MultiPoly.variable(delta.arity, i) for i in range(1, delta.arity + 1)]
     tau = PolyEndo((variables[0], *delta.kernel_generators()))
-    p = h.substitute([MultiPoly.zero(n)] + variables[1:])
+    p = h.substitute([MultiPoly.zero(delta.arity)] + variables[1:])
     return ConjugationCertificate(
         delta=delta,
         h=h,
@@ -142,7 +137,7 @@ def build_conjugation(delta: TriangularDerivation, h: MultiPoly) -> ConjugationC
         tau_inv=tau.invert_triangular(),
         epsilon=PolyEndo((variables[0] + f1 * p, *variables[1:])),
         slice_potential=p,
-        automorphism=delta.exp(h),
+        automorphism=automorphism,
     )
 
 
@@ -160,11 +155,10 @@ def factor_kind(factor: PolyEndo, mode: RingMode) -> str:
     reordering" when some relabeling of the variables makes it triangular
     (elementary maps always are), "opaque" otherwise.
     """
-    if factor.is_triangular(mode):
-        return TRIANGULAR
-    if factor.is_triangular_up_to_permutation(mode) is not None:
-        return REORDERED
-    return OPAQUE
+    order = factor.is_triangular_up_to_permutation(mode)
+    if order is None:
+        return OPAQUE
+    return TRIANGULAR if order == tuple(range(1, factor.arity + 1)) else REORDERED
 
 
 class TamenessWord(Record):
@@ -262,25 +256,21 @@ def build_stabilization(delta: TriangularDerivation, h: MultiPoly) -> Stabilizat
 
     Works for any triangular derivation with delta(h) = 0; no unit
     condition on delta(x1) is needed, so the t = 0 data of the family is
-    accepted directly.  The stabilization document's check list checks
-    that the factors invert and that the word composes to the extension.
+    accepted directly.  ``delta.exp(h)`` checks delta(h) = 0.  The
+    stabilization document's check list checks that the factors invert and
+    that the word composes to the extension.
     """
-    n = delta.arity
-    if h.arity != n:
-        raise KernelViolation(f"h has arity {h.arity}, derivation has {n}")
-    if not delta.apply(h).is_zero():
-        raise KernelViolation("h is not killed by the derivation")
-    m = n + 1
-    extended_delta = delta.extend_arity(m)
-    h_lift = h.extend_arity(m)
-    new_var = MultiPoly.variable(m, m)
-
     base = delta.exp(h)
-    extension = base.extend_arity(m)
+    m = delta.arity + 1
+    new_var = MultiPoly.variable(m, m)
     gamma = PolyEndo(
-        tuple(MultiPoly.variable(m, i) for i in range(1, m)) + (new_var + h_lift,)
+        tuple(MultiPoly.variable(m, i) for i in range(1, m)) + (new_var + h.extend_arity(m),)
     )
-    rho = extended_delta.exp(new_var)
     return StabilizationCertificate(
-        delta=delta, h=h, base=base, extension=extension, gamma=gamma, rho=rho
+        delta=delta,
+        h=h,
+        base=base,
+        extension=base.extend_arity(m),
+        gamma=gamma,
+        rho=delta.extend_arity(m).exp(new_var),
     )

@@ -11,13 +11,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from ._record import Record
-from .endo import PolyEndo
+from .endo import Images, PolyEndo
 from .errors import ArityMismatch, KernelViolation, NonUnit, NotTriangular
 from .multipoly import MultiPoly, RingMode
 
 
-class TriangularDerivation(Record):
+class TriangularDerivation(Images):
     """The derivation sending x_i to images[i-1].
 
     >>> t = MultiPoly.parameter(3)
@@ -28,25 +27,12 @@ class TriangularDerivation(Record):
     2*x1*x2
     """
 
-    images: tuple[MultiPoly, ...]
-
     def __post_init__(self):
-        n = len(self.images)
-        if n == 0:
-            raise ArityMismatch("a derivation needs at least one image")
+        super().__post_init__()
         for i, img in enumerate(self.images, start=1):
-            if not isinstance(img, MultiPoly):
-                raise TypeError("images must be MultiPoly instances")
-            if img.arity != n:
-                raise ArityMismatch(f"image arity {img.arity} does not match count {n}")
-            for j in range(i, n + 1):
+            for j in range(i, self.arity + 1):
                 if img.involves(j):
                     raise NotTriangular(f"image of x{i} involves x{j}")
-        object.__setattr__(self, "images", tuple(self.images))
-
-    @property
-    def arity(self) -> int:
-        return len(self.images)
 
     # ------------------------------------------------------------- application
 
@@ -136,9 +122,6 @@ class TriangularDerivation(Record):
 
     # ------------------------------------------------------------------ misc
 
-    def specialize(self, alpha: int | Fraction) -> TriangularDerivation:
-        return TriangularDerivation(tuple(img.specialize_t(alpha) for img in self.images))
-
     def extend_arity(self, arity: int) -> TriangularDerivation:
         """Extend by later variables that map to zero."""
         if arity < self.arity:
@@ -146,9 +129,3 @@ class TriangularDerivation(Record):
         images = [img.extend_arity(arity) for img in self.images]
         images += [MultiPoly.zero(arity)] * (arity - self.arity)
         return TriangularDerivation(tuple(images))
-
-    def __str__(self) -> str:
-        return "(" + ", ".join(str(img) for img in self.images) + ")"
-
-    def __repr__(self) -> str:
-        return f"TriangularDerivation{self}"

@@ -4,9 +4,10 @@ Every CLI payload is a JSON document that embeds all of its own data as
 canonical polynomial text plus a transcript of exact identities.  Each
 document kind has one ordered check list, in its verifier here, and that
 list is the only place its identities are written: the constructors only
-build.  A builder assembles the fields as text, runs the kind's verifier on
-them, refuses to emit unless every identity passes, and stores the
-transcript it just computed; ``verify`` runs the same verifier.  A verifier
+build.  A builder names the fields, and ``_document`` renders them as text,
+runs the kind's verifier on them, refuses to emit unless every identity
+passes, and stores the transcript it just computed; ``verify`` runs the
+same verifier.  A verifier
 reparses every field from text and recomputes every identity from scratch,
 so any edit to any embedded value flips at least one transcript line.
 
@@ -34,9 +35,9 @@ from .certificates import (
     _TAME_KINDS,
 )
 from .derivation import TriangularDerivation
-from .endo import PolyEndo
+from .endo import Images, PolyEndo
 from .errors import CheckFailed, ParseError, PolydegenError
-from .family import has_limit_shape, slice_coefficients
+from .family import family_derivation, family_potential, has_limit_shape, slice_coefficients
 from .multipoly import MultiPoly, RingMode
 from .parsing import parse_poly, parse_rational
 
@@ -113,14 +114,27 @@ def _rational_field(doc: dict, key: str) -> Fraction:
     return parse_rational(_field(doc, key, str))
 
 
-def _images(endo: PolyEndo) -> list[str]:
-    return [str(img) for img in endo.images]
-
-
 # ------------------------------------------------------------------ builders
 
 
-def _finish(doc: dict) -> dict:
+def _render(value):
+    """A field as JSON: a polynomial or a rational as its text, a map as its
+    images, a list item by item, anything else as it is."""
+    if isinstance(value, Images):
+        value = value.images
+    if isinstance(value, (list, tuple)):
+        return [_render(item) for item in value]
+    return str(value) if isinstance(value, (MultiPoly, Fraction)) else value
+
+
+def _document(kind: str, **fields) -> dict:
+    """The document of one kind with the given fields, in order, None ones left out.
+
+    Runs the kind's check list on it, refuses to emit it unless every
+    identity passes, and stores the transcript it just computed.
+    """
+    doc = {"format_version": FORMAT_VERSION, "kind": kind}
+    doc.update((key, _render(value)) for key, value in fields.items() if value is not None)
     checks = verify_document(doc)
     failed = [c.identity for c in checks if not c.passed]
     if failed:
@@ -131,45 +145,41 @@ def _finish(doc: dict) -> dict:
 
 def family_document(l: int, cert: ConjugationCertificate) -> dict:
     delta, h = cert.delta, cert.h
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "kind": "family",
-        "l": l,
-        "arity": 3,
-        "ring_mode": RingMode.LAURENT.value,
-        "coefficients": [str(c) for c in slice_coefficients(l)],
-        "derivation": [str(f) for f in delta.images],
-        "g2": str(cert.tau.images[1]),
-        "g3": str(cert.tau.images[2]),
-        "tau": _images(cert.tau),
-        "tau_inv": _images(cert.tau_inv),
-        "slice_potential": str(cert.slice_potential),
-        "epsilon": _images(cert.epsilon),
-        "h": str(h),
-        "automorphism": _images(cert.automorphism),
-        "derivation_at_zero": [str(f) for f in delta.specialize(0).images],
-        "h_limit": str(h.specialize_t(0)),
-        "fiber_at_zero": _images(cert.automorphism.specialize(0)),
-        "wildness": _wildness_fields(check_wild_at_zero(delta, h)),
-    }
-    return _finish(doc)
+    return _document(
+        "family",
+        l=l,
+        arity=3,
+        ring_mode=RingMode.LAURENT.value,
+        coefficients=slice_coefficients(l),
+        derivation=delta,
+        g2=cert.tau.images[1],
+        g3=cert.tau.images[2],
+        tau=cert.tau,
+        tau_inv=cert.tau_inv,
+        slice_potential=cert.slice_potential,
+        epsilon=cert.epsilon,
+        h=h,
+        automorphism=cert.automorphism,
+        derivation_at_zero=delta.specialize(0),
+        h_limit=h.specialize_t(0),
+        fiber_at_zero=cert.automorphism.specialize(0),
+        wildness=_wildness_fields(check_wild_at_zero(delta, h)),
+    )
 
 
 def conjugation_document(cert: ConjugationCertificate) -> dict:
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "kind": "conjugation",
-        "arity": cert.delta.arity,
-        "ring_mode": RingMode.LAURENT.value,
-        "derivation": [str(f) for f in cert.delta.images],
-        "h": str(cert.h),
-        "tau": _images(cert.tau),
-        "tau_inv": _images(cert.tau_inv),
-        "slice_potential": str(cert.slice_potential),
-        "epsilon": _images(cert.epsilon),
-        "automorphism": _images(cert.automorphism),
-    }
-    return _finish(doc)
+    return _document(
+        "conjugation",
+        arity=cert.delta.arity,
+        ring_mode=RingMode.LAURENT.value,
+        derivation=cert.delta,
+        h=cert.h,
+        tau=cert.tau,
+        tau_inv=cert.tau_inv,
+        slice_potential=cert.slice_potential,
+        epsilon=cert.epsilon,
+        automorphism=cert.automorphism,
+    )
 
 
 def _wildness_fields(report: WildnessReport) -> dict:
@@ -190,25 +200,17 @@ def wildness_document(
     l: int | None = None,
 ) -> dict:
     report = check_wild_at_zero(delta, h)
-    fiber = delta.exp(h).specialize(0)
-    doc: dict = {
-        "format_version": FORMAT_VERSION,
-        "kind": "wildness",
-        "arity": 3,
-    }
-    if l is not None:
-        doc["l"] = l
-    doc.update(
-        {
-            "derivation": [str(f) for f in delta.images],
-            "h": str(h),
-            "flags": dict(zip(_FLAGS, report.flags)),
-            "residues": _residues(report),
-            "verdict": report.verdict,
-            "fiber_at_zero": _images(fiber),
-        }
+    return _document(
+        "wildness",
+        arity=3,
+        l=l,
+        derivation=delta,
+        h=h,
+        flags=dict(zip(_FLAGS, report.flags)),
+        residues=_residues(report),
+        verdict=report.verdict,
+        fiber_at_zero=delta.exp(h).specialize(0),
     )
-    return _finish(doc)
 
 
 def word_document(
@@ -217,24 +219,17 @@ def word_document(
     h: MultiPoly,
     l: int | None = None,
 ) -> dict:
-    doc: dict = {
-        "format_version": FORMAT_VERSION,
-        "kind": "tameness_word",
-        "arity": word.fiber.arity,
-    }
-    if l is not None:
-        doc["l"] = l
-    doc.update(
-        {
-            "alpha": str(word.alpha),
-            "derivation": [str(f) for f in delta.images],
-            "h": str(h),
-            "factors": [_images(f) for f in word.factors],
-            "factor_kinds": list(word.factor_kinds),
-            "fiber": _images(word.fiber),
-        }
+    return _document(
+        "tameness_word",
+        arity=word.fiber.arity,
+        l=l,
+        alpha=word.alpha,
+        derivation=delta,
+        h=h,
+        factors=word.factors,
+        factor_kinds=word.factor_kinds,
+        fiber=word.fiber,
     )
-    return _finish(doc)
 
 
 def stabilization_document(
@@ -242,28 +237,20 @@ def stabilization_document(
     l: int | None = None,
     bounds: dict | None = None,
 ) -> dict:
-    doc: dict = {
-        "format_version": FORMAT_VERSION,
-        "kind": "stabilization",
-        "arity": cert.delta.arity,
-        "extended_arity": cert.gamma.arity,
-    }
-    if l is not None:
-        doc["l"] = l
-    doc.update(
-        {
-            "derivation": [str(f) for f in cert.delta.images],
-            "h": str(cert.h),
-            "base": _images(cert.base),
-            "extension": _images(cert.extension),
-            "gamma": _images(cert.gamma),
-            "rho": _images(cert.rho),
-            "factor_count": cert.factor_count,
-        }
+    return _document(
+        "stabilization",
+        arity=cert.delta.arity,
+        extended_arity=cert.gamma.arity,
+        l=l,
+        derivation=cert.delta,
+        h=cert.h,
+        base=cert.base,
+        extension=cert.extension,
+        gamma=cert.gamma,
+        rho=cert.rho,
+        factor_count=cert.factor_count,
+        length_bounds=bounds,
     )
-    if bounds is not None:
-        doc["length_bounds"] = dict(bounds)
-    return _finish(doc)
 
 
 # ----------------------------------------------------------------- verifiers
@@ -334,20 +321,27 @@ _CONJUGATES = (
 )
 
 
-def _conjugation_fields(doc: dict, arity: int) -> SimpleNamespace:
-    """The fields of a conjugation, which a family document holds too."""
+def _pair_fields(doc: dict, arity: int) -> SimpleNamespace:
+    """The pair (derivation, h) that every kind states, parsed in that order:
+    ``f.delta_images``, ``f.h`` and the derivation ``f.delta()``."""
     f = SimpleNamespace(
         doc=doc,
         delta_images=_poly_list_field(doc, "derivation", arity),
         h=_poly_field(doc, "h", arity),
-        tau_images=_poly_list_field(doc, "tau", arity),
-        tau_inv_images=_poly_list_field(doc, "tau_inv", arity),
-        p=_poly_field(doc, "slice_potential", arity),
-        eps_images=_poly_list_field(doc, "epsilon", arity),
-        phi_images=_poly_list_field(doc, "automorphism", arity),
     )
-    f.x = tuple(MultiPoly.variable(arity, i) for i in range(1, arity + 1))
     f.delta = _Lazy(lambda: TriangularDerivation(f.delta_images))
+    return f
+
+
+def _conjugation_fields(doc: dict, arity: int) -> SimpleNamespace:
+    """The fields of a conjugation, which a family document holds too."""
+    f = _pair_fields(doc, arity)
+    f.tau_images = _poly_list_field(doc, "tau", arity)
+    f.tau_inv_images = _poly_list_field(doc, "tau_inv", arity)
+    f.p = _poly_field(doc, "slice_potential", arity)
+    f.eps_images = _poly_list_field(doc, "epsilon", arity)
+    f.phi_images = _poly_list_field(doc, "automorphism", arity)
+    f.x = tuple(MultiPoly.variable(arity, i) for i in range(1, arity + 1))
     f.tau = _Lazy(lambda: PolyEndo(f.tau_images))
     f.tau_inv = _Lazy(lambda: PolyEndo(f.tau_inv_images))
     f.epsilon = _Lazy(lambda: PolyEndo(f.eps_images))
@@ -381,11 +375,6 @@ def _verify_family(doc: dict) -> list[Check]:
             expected = expected + MultiPoly(arity, {(2 * i + 1, l - i, 0, -(i + 1)): coeffs[i]})
         return expected == f.g3
 
-    def p_formula(f) -> bool:
-        c_l = coeffs[l]
-        scale = MultiPoly(arity, {(0, 0, 0, l): c_l / 2})
-        return bool(c_l) and ((2 * x2) ** (2 * l + 1) + t * (x3 / c_l) ** 2) * scale == f.p
-
     return _run(f, (
         _RING_MODE,
         ("l is at least 1 and matches the coefficient count", lambda f: counted),
@@ -399,7 +388,7 @@ def _verify_family(doc: dict) -> list[Check]:
         ),
         (
             "derivation is (t, x1, -(l+1)*x2^l)",
-            lambda f: f.delta_images == (t, x1, -(l + 1) * x2**l),
+            lambda f: f.delta_images == family_derivation(l).images,
         ),
         ("g2 is the slice image of x2", lambda f: f.delta().sigma(x2) == f.g2),
         ("g3 is the slice image of x3", lambda f: f.delta().sigma(x3) == f.g3),
@@ -411,7 +400,10 @@ def _verify_family(doc: dict) -> list[Check]:
         _TAU_TRIANGULAR,
         _TAU_INVERTS,
         _POTENTIAL_IS_H_AT_ZERO,
-        ("slice potential matches its closed formula", lambda f: counted and p_formula(f)),
+        (
+            "slice potential matches its closed formula",
+            lambda f: counted and bool(coeffs[l]) and family_potential(l, coeffs[l]) == f.p,
+        ),
         _TAU_SENDS_POTENTIAL,
         (
             "epsilon is the elementary shift of x1 by t times the slice potential",
@@ -479,14 +471,10 @@ def _verify_wildness(doc: dict) -> list[Check]:
     arity = _field(doc, "arity", int)
     if arity != 3:
         raise ParseError("wildness documents have arity 3")
-    f = SimpleNamespace(
-        delta_images=_poly_list_field(doc, "derivation", arity),
-        h=_poly_field(doc, "h", arity),
-        flags=_field(doc, "flags", dict),
-        residues=_field(doc, "residues", dict),
-        verdict=_field(doc, "verdict", str),
-    )
-    f.delta = _Lazy(lambda: TriangularDerivation(f.delta_images))
+    f = _pair_fields(doc, arity)
+    f.flags = _field(doc, "flags", dict)
+    f.residues = _field(doc, "residues", dict)
+    f.verdict = _field(doc, "verdict", str)
     f.report = _Lazy(lambda: check_wild_at_zero(f.delta(), f.h))
     checks = [
         (
@@ -524,10 +512,7 @@ def _verify_wildness(doc: dict) -> list[Check]:
 def _verify_word(doc: dict) -> list[Check]:
     arity = _field(doc, "arity", int)
     alpha = _rational_field(doc, "alpha")
-    f = SimpleNamespace(
-        delta_images=_poly_list_field(doc, "derivation", arity),
-        h=_poly_field(doc, "h", arity),
-    )
+    f = _pair_fields(doc, arity)
     factor_lists = _field(doc, "factors", list)
     factors = [
         _parse_poly_list(lst, arity, f"factors[{j}]") for j, lst in enumerate(factor_lists)
@@ -538,7 +523,6 @@ def _verify_word(doc: dict) -> list[Check]:
     if len(kinds) != len(factors):
         raise ParseError("factor_kinds and factors have different lengths")
     f.fiber_images = _poly_list_field(doc, "fiber", arity)
-    f.delta = _Lazy(lambda: TriangularDerivation(f.delta_images))
     f.fiber = _Lazy(lambda: PolyEndo(f.fiber_images))
     f.factors = [_Lazy(lambda imgs=imgs: PolyEndo(imgs)) for imgs in factors]
     return _run(f, (
@@ -575,16 +559,12 @@ def _verify_stabilization(doc: dict) -> list[Check]:
     m = _field(doc, "extended_arity", int)
     if m != arity + 1:
         raise ParseError("extended_arity must be arity + 1")
-    f = SimpleNamespace(
-        delta_images=_poly_list_field(doc, "derivation", arity),
-        h=_poly_field(doc, "h", arity),
-        base_images=_poly_list_field(doc, "base", arity),
-        ext_images=_poly_list_field(doc, "extension", m),
-        gamma_images=_poly_list_field(doc, "gamma", m),
-        rho_images=_poly_list_field(doc, "rho", m),
-        factor_count=_field(doc, "factor_count", int),
-    )
-    f.delta = _Lazy(lambda: TriangularDerivation(f.delta_images))
+    f = _pair_fields(doc, arity)
+    f.base_images = _poly_list_field(doc, "base", arity)
+    f.ext_images = _poly_list_field(doc, "extension", m)
+    f.gamma_images = _poly_list_field(doc, "gamma", m)
+    f.rho_images = _poly_list_field(doc, "rho", m)
+    f.factor_count = _field(doc, "factor_count", int)
     f.base = _Lazy(lambda: PolyEndo(f.base_images))
     f.extension = _Lazy(lambda: PolyEndo(f.ext_images))
     f.gamma = _Lazy(lambda: PolyEndo(f.gamma_images))

@@ -1,6 +1,7 @@
 """Endomorphisms of Q[t,t^-1][x1,...,xn] given by their variable images.
 
-A :class:`PolyEndo` stores the tuple (phi(x1),...,phi(xn)).  Composition
+A :class:`PolyEndo` stores the tuple (phi(x1),...,phi(xn)) in the shape
+:class:`Images`, which triangular derivations share.  Composition
 follows the usual convention (phi o psi)(xi) = phi(psi(xi)): psi's images
 are rewritten through phi.
 """
@@ -15,14 +16,11 @@ from .errors import ArityMismatch, NotTriangular
 from .multipoly import MultiPoly, RingMode
 
 
-class PolyEndo(Record):
-    """An endomorphism, determined by where each variable goes.
+class Images(Record):
+    """A map of Q[t,t^-1][x1,...,xn] given by the images of x1..xn, all of arity n.
 
-    >>> x1 = MultiPoly.variable(2, 1)
-    >>> x2 = MultiPoly.variable(2, 2)
-    >>> tau = PolyEndo((x1, x2 + x1**2))
-    >>> print(tau)
-    (x1, x1^2 + x2)
+    The shape shared by endomorphisms and derivations: the validated image
+    tuple, its arity, specialization at t = alpha image by image, and text.
     """
 
     images: tuple[MultiPoly, ...]
@@ -30,7 +28,7 @@ class PolyEndo(Record):
     def __post_init__(self):
         n = len(self.images)
         if n == 0:
-            raise ArityMismatch("an endomorphism needs at least one image")
+            raise ArityMismatch("a map needs at least one image")
         for img in self.images:
             if not isinstance(img, MultiPoly):
                 raise TypeError("images must be MultiPoly instances")
@@ -41,6 +39,26 @@ class PolyEndo(Record):
     @property
     def arity(self) -> int:
         return len(self.images)
+
+    def specialize(self, alpha: int | Fraction):
+        return type(self)(tuple(img.specialize_t(alpha) for img in self.images))
+
+    def __str__(self) -> str:
+        return "(" + ", ".join(str(img) for img in self.images) + ")"
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}{self}"
+
+
+class PolyEndo(Images):
+    """An endomorphism, determined by where each variable goes.
+
+    >>> x1 = MultiPoly.variable(2, 1)
+    >>> x2 = MultiPoly.variable(2, 2)
+    >>> tau = PolyEndo((x1, x2 + x1**2))
+    >>> print(tau)
+    (x1, x1^2 + x2)
+    """
 
     @classmethod
     def identity(cls, arity: int) -> PolyEndo:
@@ -77,9 +95,6 @@ class PolyEndo(Record):
             result = result.compose(factor)
         return result
 
-    def specialize(self, alpha: int | Fraction) -> PolyEndo:
-        return PolyEndo(tuple(img.specialize_t(alpha) for img in self.images))
-
     def extend_arity(self, arity: int) -> PolyEndo:
         """The same map on a ring with extra later variables, fixed."""
         if arity < self.arity:
@@ -101,6 +116,8 @@ class PolyEndo(Record):
         """x_i maps to u_i*x_i + (terms in x1..x_{i-1}) with u_i a unit.
 
         The mode picks where the leading coefficients must be invertible.
+        That is the case exactly when the first triangularizing order is the
+        standard one.
 
         >>> x1 = MultiPoly.variable(2, 1)
         >>> x2 = MultiPoly.variable(2, 2)
@@ -109,12 +126,7 @@ class PolyEndo(Record):
         >>> PolyEndo((x1 + x2, x2)).is_triangular()
         False
         """
-        n = self.arity
-        for i in range(1, n + 1):
-            lead, rest = self._split(i)
-            if not lead.is_unit(mode) or any(rest.involves(j) for j in range(i, n + 1)):
-                return False
-        return True
+        return self.is_triangular_up_to_permutation(mode) == tuple(range(1, self.arity + 1))
 
     def is_triangular_up_to_permutation(
         self, mode: RingMode = RingMode.LAURENT
@@ -158,17 +170,12 @@ class PolyEndo(Record):
         >>> print(tau.invert_triangular())
         (x1, -x1^2 + x2)
         """
+        if not self.is_triangular(mode):
+            raise NotTriangular(f"the map is not triangular over {mode.value}")
         n = self.arity
         inverse: list[MultiPoly] = []
         for i in range(1, n + 1):
             lead, rest = self._split(i)
-            if not lead.is_unit(mode):
-                raise NotTriangular(
-                    f"image {i} has non-unit leading coefficient {lead} in {mode.value}"
-                )
-            for j in range(i, n + 1):
-                if rest.involves(j):
-                    raise NotTriangular(f"image {i} involves x{j}")
             # x_i = (phi(x_i) - rest) / lead, then push the earlier inverse
             # images through rest.
             filler = inverse + [
@@ -182,11 +189,3 @@ class PolyEndo(Record):
         """True when both composites are the identity, checked exactly."""
         ident = PolyEndo.identity(self.arity)
         return self.compose(other) == ident and other.compose(self) == ident
-
-    # --------------------------------------------------------------- rendering
-
-    def __str__(self) -> str:
-        return "(" + ", ".join(str(img) for img in self.images) + ")"
-
-    def __repr__(self) -> str:
-        return f"PolyEndo{self}"

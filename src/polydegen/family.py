@@ -8,7 +8,9 @@ derivation
 over Q[t], and the kernel element h = sigma(p) for a closed-form slice
 potential p.  Everything else is a certificate about the automorphism
 phi = exp(h*delta) of Q[t,t^-1][x1,x2,x3], built from the pair by the
-general builders of certificates.  Away from t = 0 phi is conjugate to the
+general builders of certificates.  family_derivation(l) and
+family_potential(l, c_l) write delta and p once, for build_family and the
+family document's check list.  Away from t = 0 phi is conjugate to the
 elementary shift (x1 + t*p, x2, x3) by the triangular map tau = (x1, g2, g3)
 (certificates.build_conjugation), so every fiber there is tame.  The pair
 is regular at t = 0, and the limit fiber is exp(h_limit * delta_0) with
@@ -43,6 +45,19 @@ def slice_coefficients(l: int) -> tuple[Fraction, ...]:
     return tuple(coeffs)
 
 
+def family_derivation(l: int) -> TriangularDerivation:
+    """delta_l = (t, x1, -(l+1)*x2^l)."""
+    x1, x2 = MultiPoly.variable(3, 1), MultiPoly.variable(3, 2)
+    return TriangularDerivation((MultiPoly.parameter(3), x1, -(l + 1) * x2**l))
+
+
+def family_potential(l: int, c_l: Fraction) -> MultiPoly:
+    """The closed-form slice potential p_l = t^l*c_l/2 * ((2*x2)^(2l+1) + t*(x3/c_l)^2)."""
+    x2, x3 = MultiPoly.variable(3, 2), MultiPoly.variable(3, 3)
+    t = MultiPoly.parameter(3)
+    return ((2 * x2) ** (2 * l + 1) + t * (x3 / c_l) ** 2) * MultiPoly(3, {(0, 0, 0, l): c_l / 2})
+
+
 def build_family(l: int) -> tuple[TriangularDerivation, MultiPoly]:
     """The pair (delta, h) for a given l >= 1.
 
@@ -52,19 +67,8 @@ def build_family(l: int) -> tuple[TriangularDerivation, MultiPoly]:
     """
     if l < 1:
         raise ValueError("l must be at least 1")
-    n = 3
-    x1 = MultiPoly.variable(n, 1)
-    x2 = MultiPoly.variable(n, 2)
-    x3 = MultiPoly.variable(n, 3)
-    t = MultiPoly.parameter(n)
-
-    delta = TriangularDerivation((t, x1, -(l + 1) * x2**l))
-    c_l = slice_coefficients(l)[l]
-    p = (
-        ((2 * x2) ** (2 * l + 1) + t * (x3 / c_l) ** 2)
-        * MultiPoly(n, {(0, 0, 0, l): c_l / 2})
-    )
-    return delta, delta.sigma(p)
+    delta = family_derivation(l)
+    return delta, delta.sigma(family_potential(l, slice_coefficients(l)[l]))
 
 
 def has_limit_shape(h: MultiPoly, l: int, c_l: Fraction) -> bool:

@@ -4,7 +4,8 @@ The divisibility oracle decides whether a quotient exists by solving a
 dense linear system for the quotient coefficients with Gaussian
 elimination over Fraction. It shares no code with the elimination-based
 `exact_divide` it is checking.  The variable-order oracle tries all n!
-orders where the library walks a dependency graph.  The exponential
+orders, testing each against the definition of a triangular map, where
+the library walks a dependency graph.  The exponential
 oracles sum each series in its own loop, as written in the paper.
 """
 
@@ -217,6 +218,17 @@ def ref_decode(terms, arity, slot_bits):
 # --------------------------------------------------------- variable orders
 
 
+def is_triangular_by_definition(endo, mode):
+    """Image i is u*x_i plus terms in x1..x_{i-1}, with u a unit in mode."""
+    n = endo.arity
+    for i, img in enumerate(endo.images, start=1):
+        lead = img.coefficient(tuple(int(j == i) for j in range(1, n + 1)))
+        rest = img - lead * MultiPoly.variable(n, i)
+        if not lead.is_unit(mode) or any(rest.involves(j) for j in range(i, n + 1)):
+            return False
+    return True
+
+
 def triangularizing_order_by_search(endo, mode):
     """The first permutation p, in lexicographic order, for which
     conjugating endo by x_i -> x_{p_i} gives a triangular map; None if
@@ -229,7 +241,7 @@ def triangularizing_order_by_search(endo, mode):
             inverse[p - 1] = i + 1
         front = PolyEndo(tuple(MultiPoly.variable(n, p) for p in inverse))
         back = PolyEndo(tuple(MultiPoly.variable(n, p) for p in perm))
-        if front.compose(endo).compose(back).is_triangular(mode):
+        if is_triangular_by_definition(front.compose(endo).compose(back), mode):
             return perm
     return None
 

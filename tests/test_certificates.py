@@ -134,6 +134,14 @@ def test_build_conjugation_generic_kernel_potential():
     assert cert.automorphism == delta.exp(h)
 
 
+def test_builders_leave_the_kernel_check_to_exp(families):
+    delta = families[1].delta
+    for build in (build_conjugation, build_stabilization):
+        with pytest.raises(KernelViolation, match="h is not killed by the derivation") as caught:
+            build(delta, parse_poly("x2", arity=3))
+        assert caught.traceback[-1].name == "exp"
+
+
 # ------------------------------------------------------------- factor kinds
 
 

@@ -9,7 +9,7 @@ import pytest
 from conftest import rand_poly, rand_rational
 from oracles import triangularizing_order_by_search
 from polydegen import parse_poly
-from polydegen.certificates import OPAQUE, REORDERED, factor_kind
+from polydegen.certificates import OPAQUE, REORDERED, TRIANGULAR, factor_kind
 from polydegen.endo import PolyEndo
 from polydegen.errors import ArityMismatch, NotTriangular
 from polydegen.multipoly import MultiPoly, RingMode
@@ -149,8 +149,12 @@ def test_reordering_matches_the_permutation_search():
         for mode in (RingMode.LAURENT, RingMode.POLY):
             expected = triangularizing_order_by_search(e, mode)
             assert e.is_triangular_up_to_permutation(mode) == expected, (e, mode)
-            outcomes.add(expected is None)
-    assert outcomes == {True, False}
+            standard = expected == tuple(range(1, e.arity + 1))
+            assert e.is_triangular(mode) == standard, (e, mode)
+            kind = OPAQUE if expected is None else TRIANGULAR if standard else REORDERED
+            assert factor_kind(e, mode) == kind, (e, mode)
+            outcomes.add(kind)
+    assert outcomes == {OPAQUE, TRIANGULAR, REORDERED}
 
 
 def test_large_factors_are_classified_fast():
