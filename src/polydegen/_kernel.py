@@ -24,14 +24,16 @@ find the common factor of a result from the operands' denominators, and
 return canonical results.  None mutates its arguments, and each returns a
 fresh container, except that the sum of one piece is that piece.
 
-``add_terms`` is n-ary: it puts any number of pieces over the lcm of their
-denominators in one pass and reduces the sum with one gcd, so a caller that
-adds many polynomials (a substitution's groups, an exponential series, a
-parsed sum) copies and reduces no partial sum.
+``add_terms`` is the one sum, and it is n-ary: it puts any number of pieces
+over the lcm of their denominators in one pass and reduces the sum with one
+gcd, so a caller that adds many polynomials (a substitution's groups, an
+exponential series, a parsed sum, the terms of a constructor) copies and
+reduces no partial sum.  Subtraction adds the negation.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd
 
 from .errors import ExponentOverflow, NonUnit
@@ -134,6 +136,7 @@ def monomial_power(
     return key * e, power(num, e), power(den, e)
 
 
+@lru_cache(maxsize=None)
 def guard_mask(arity: int) -> int:
     """The guard bits of the arity's variable slots."""
     top = 1 << (SLOT_BITS - 1)
@@ -150,8 +153,6 @@ def add_terms(*pieces: Terms) -> Terms:
     dict, which is reduced once; a sum of many pieces thus copies and
     reduces no partial sum.
     """
-    if len(pieces) == 2:
-        return _combine(*pieces, 1)
     if len(pieces) < 2:
         return pieces[0] if pieces else make({})
     # Knuth's argument for two fractions, extended: a prime that divides the
@@ -183,28 +184,7 @@ def add_terms(*pieces: Terms) -> Terms:
 
 
 def sub_terms(a: Terms, b: Terms) -> Terms:
-    return _combine(a, b, -1)
-
-
-def _combine(a: Terms, b: Terms, sign: int) -> Terms:
-    # a/da + b/db over lcm(da, db).  As for fractions (Knuth, TAOCP 4.5.1),
-    # a prime that divides the new denominator and every new numerator must
-    # divide g = gcd(da, db), because canonical a and b have no such prime of
-    # their own; so the reducing gcd is taken against g.
-    da, db = a.den, b.den
-    g = gcd(da, db)
-    sa = db // g
-    sb = sign * (da // g)
-    den = da * sa
-    acc = dict(a) if sa == 1 else {key: c * sa for key, c in a.items()}
-    get = acc.get
-    if sb == 1:
-        for key, c in b.items():
-            acc[key] = get(key, 0) + c
-    else:
-        for key, c in b.items():
-            acc[key] = get(key, 0) + c * sb
-    return canonical(acc, den, g)
+    return add_terms(a, neg_terms(b))
 
 
 def neg_terms(a: Terms) -> Terms:

@@ -20,6 +20,7 @@ from fractions import Fraction
 
 from .certificates import build_conjugation, build_stabilization, specialized_tameness
 from .documents import (
+    document_kind,
     dumps,
     family_document,
     loads,
@@ -126,7 +127,7 @@ def _l_for(args: argparse.Namespace) -> int:
         raise ParseError("give either --l or --in, not both")
     if args.input is not None:
         doc = _read_document(args.input)
-        if doc.get("kind") != "family":
+        if document_kind(doc) != "family":
             raise ParseError("--in expects a family document")
         l = doc.get("l")
         if not isinstance(l, int) or isinstance(l, bool) or l < 1:
@@ -150,9 +151,7 @@ def cmd_specialize(args: argparse.Namespace) -> int:
 
 
 def cmd_smith(args: argparse.Namespace) -> int:
-    stab = build_stabilization(*build_family(args.l))
-    bounds = {"nonzero_alpha": 3, "zero_alpha": 4, "zero_alpha_exactness": "claimed"}
-    _emit(stabilization_document(stab, l=args.l, bounds=bounds), args)
+    _emit(stabilization_document(build_stabilization(*build_family(args.l)), l=args.l), args)
     return 0
 
 
@@ -161,10 +160,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     embedded = doc.get("transcript")
     if not isinstance(embedded, list):
         raise ParseError("document has no transcript to verify against")
-    checks = verify_document(doc)
-    recomputed = [{"identity": c.identity, "pass": c.passed} for c in checks]
+    recomputed = verify_document(doc)
     matches = embedded == recomputed
-    verified = matches and all(c.passed for c in checks)
+    verified = matches and all(entry["pass"] for entry in recomputed)
     if args.format == "json":
         payload = dumps(
             {
@@ -174,13 +172,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
             }
         )
     else:
-        lines = []
-        for c in checks:
-            lines.append(f"{'pass' if c.passed else 'FAIL'}  {c.identity}")
+        lines = [
+            f"{'pass' if entry['pass'] else 'FAIL'}  {entry['identity']}" for entry in recomputed
+        ]
         lines.append(f"transcript match: {'yes' if matches else 'NO'}")
-        good = sum(1 for c in checks if c.passed)
+        good = sum(1 for entry in recomputed if entry["pass"])
         lines.append(
-            f"result: {'pass' if verified else 'FAIL'} ({good}/{len(checks)} identities)"
+            f"result: {'pass' if verified else 'FAIL'} ({good}/{len(recomputed)} identities)"
         )
         payload = "\n".join(lines) + "\n"
     _write(payload, args.out)

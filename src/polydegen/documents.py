@@ -22,7 +22,6 @@ from fractions import Fraction
 from types import SimpleNamespace
 from typing import Callable
 
-from ._record import Record
 from .certificates import (
     ConjugationCertificate,
     StabilizationCertificate,
@@ -44,11 +43,6 @@ from .parsing import parse_poly, parse_rational
 FORMAT_VERSION = 1
 
 _FLAGS = ("f2_residue_nonzero", "h_residue_not_in_x1", "derivative_outside_ideal")
-
-
-class Check(Record):
-    identity: str
-    passed: bool
 
 
 class _Lazy:
@@ -135,11 +129,11 @@ def _document(kind: str, **fields) -> dict:
     """
     doc = {"format_version": FORMAT_VERSION, "kind": kind}
     doc.update((key, _render(value)) for key, value in fields.items() if value is not None)
-    checks = verify_document(doc)
-    failed = [c.identity for c in checks if not c.passed]
+    transcript = verify_document(doc)
+    failed = [entry["identity"] for entry in transcript if not entry["pass"]]
     if failed:
         raise CheckFailed("refusing to emit a failing document: " + "; ".join(failed))
-    doc["transcript"] = [{"identity": c.identity, "pass": c.passed} for c in checks]
+    doc["transcript"] = transcript
     return doc
 
 
@@ -232,11 +226,7 @@ def word_document(
     )
 
 
-def stabilization_document(
-    cert: StabilizationCertificate,
-    l: int | None = None,
-    bounds: dict | None = None,
-) -> dict:
+def stabilization_document(cert: StabilizationCertificate, l: int | None = None) -> dict:
     return _document(
         "stabilization",
         arity=cert.delta.arity,
@@ -249,7 +239,7 @@ def stabilization_document(
         gamma=cert.gamma,
         rho=cert.rho,
         factor_count=cert.factor_count,
-        length_bounds=bounds,
+        length_bounds={"nonzero_alpha": 3, "zero_alpha": 4, "zero_alpha_exactness": "claimed"},
     )
 
 
@@ -264,25 +254,36 @@ def stabilization_document(
 # from their images on first use, once.
 
 
-def verify_document(doc: dict) -> list[Check]:
-    """Recompute every identity a document claims.
+def document_kind(doc: dict) -> str:
+    """The kind a document's header names, after checking the header.
 
-    Raises ParseError for text-level problems (bad JSON shape, missing
-    fields, unparseable polynomials); semantic failures come back as failed
-    checks, never exceptions.
+    Raises ParseError unless ``doc`` is a JSON object of this format_version
+    whose kind has a verifier.  ``verify`` and ``specialize --in`` both read
+    a header through here.
     """
     if not isinstance(doc, dict):
         raise ParseError("a document must be a JSON object")
     if _field(doc, "format_version", int) != FORMAT_VERSION:
         raise ParseError(f"unsupported format_version {doc['format_version']!r}")
     kind = _field(doc, "kind", str)
-    verifier = _VERIFIERS.get(kind)
-    if verifier is None:
+    if kind not in _VERIFIERS:
         raise ParseError(f"unknown document kind {kind!r}")
-    return verifier(doc)
+    return kind
 
 
-def _run(f: SimpleNamespace, checks) -> list[Check]:
+def verify_document(doc: dict) -> list[dict]:
+    """Recompute every identity a document claims, as its transcript.
+
+    Returns one entry ``{"identity": str, "pass": bool}`` per identity of
+    the kind's check list, in order, as ``_document`` stores them.  Raises
+    ParseError for text-level problems (bad JSON shape, missing fields,
+    unparseable polynomials); semantic failures come back as failed
+    entries, never exceptions.
+    """
+    return _VERIFIERS[document_kind(doc)](doc)
+
+
+def _run(f: SimpleNamespace, checks) -> list[dict]:
     passed: dict[str, bool] = {}
     out = []
     for identity, predicate, *premises in checks:
@@ -293,7 +294,7 @@ def _run(f: SimpleNamespace, checks) -> list[Check]:
             except PolydegenError:
                 ok = False
         passed[identity] = ok
-        out.append(Check(identity, ok))
+        out.append({"identity": identity, "pass": ok})
     return out
 
 
@@ -349,7 +350,7 @@ def _conjugation_fields(doc: dict, arity: int) -> SimpleNamespace:
     return f
 
 
-def _verify_family(doc: dict) -> list[Check]:
+def _verify_family(doc: dict) -> list[dict]:
     l = _field(doc, "l", int)
     arity = _field(doc, "arity", int)
     if arity != 3:
@@ -441,7 +442,7 @@ def _verify_family(doc: dict) -> list[Check]:
     ))
 
 
-def _verify_conjugation(doc: dict) -> list[Check]:
+def _verify_conjugation(doc: dict) -> list[dict]:
     f = _conjugation_fields(doc, _field(doc, "arity", int))
     return _run(f, (
         _RING_MODE,
@@ -467,7 +468,7 @@ def _verify_conjugation(doc: dict) -> list[Check]:
     ))
 
 
-def _verify_wildness(doc: dict) -> list[Check]:
+def _verify_wildness(doc: dict) -> list[dict]:
     arity = _field(doc, "arity", int)
     if arity != 3:
         raise ParseError("wildness documents have arity 3")
@@ -475,8 +476,9 @@ def _verify_wildness(doc: dict) -> list[Check]:
     f.flags = _field(doc, "flags", dict)
     f.residues = _field(doc, "residues", dict)
     f.verdict = _field(doc, "verdict", str)
+    f.fiber_images = _poly_list_field(doc, "fiber_at_zero", arity)
     f.report = _Lazy(lambda: check_wild_at_zero(f.delta(), f.h))
-    checks = [
+    return _run(f, (
         (
             "derivation and h are regular at t = 0",
             lambda f: all(g.is_t_regular() for g in f.delta_images) and f.h.is_t_regular(),
@@ -499,17 +501,14 @@ def _verify_wildness(doc: dict) -> list[Check]:
             lambda f: all(f.residues.get(k) == v for k, v in _residues(f.report()).items()),
         ),
         ("verdict matches the flags", lambda f: f.verdict == f.report().verdict),
-    ]
-    if "fiber_at_zero" in doc:
-        f.fiber_images = _poly_list_field(doc, "fiber_at_zero", arity)
-        checks.append((
+        (
             "fiber_at_zero is exp(h*delta) at t = 0",
             lambda f: PolyEndo(f.fiber_images) == f.delta().exp(f.h).specialize(0),
-        ))
-    return _run(f, checks)
+        ),
+    ))
 
 
-def _verify_word(doc: dict) -> list[Check]:
+def _verify_word(doc: dict) -> list[dict]:
     arity = _field(doc, "arity", int)
     alpha = _rational_field(doc, "alpha")
     f = _pair_fields(doc, arity)
@@ -554,7 +553,7 @@ def _verify_word(doc: dict) -> list[Check]:
 _WORD_PREMISES = ("derivation kills h", "gamma and rho invert exactly")
 
 
-def _verify_stabilization(doc: dict) -> list[Check]:
+def _verify_stabilization(doc: dict) -> list[dict]:
     arity = _field(doc, "arity", int)
     m = _field(doc, "extended_arity", int)
     if m != arity + 1:
@@ -565,6 +564,7 @@ def _verify_stabilization(doc: dict) -> list[Check]:
     f.gamma_images = _poly_list_field(doc, "gamma", m)
     f.rho_images = _poly_list_field(doc, "rho", m)
     f.factor_count = _field(doc, "factor_count", int)
+    f.bounds = _field(doc, "length_bounds", dict)
     f.base = _Lazy(lambda: PolyEndo(f.base_images))
     f.extension = _Lazy(lambda: PolyEndo(f.ext_images))
     f.gamma = _Lazy(lambda: PolyEndo(f.gamma_images))
@@ -614,13 +614,13 @@ def _verify_stabilization(doc: dict) -> list[Check]:
             )
             for alpha in (0, 1, -1)
         ]
-    checks.append(("factor_count is 4", lambda f: f.factor_count == 4))
-    if "length_bounds" in doc:
-        f.bounds = _field(doc, "length_bounds", dict)
-        checks.append((
+    checks += [
+        ("factor_count is 4", lambda f: f.factor_count == 4),
+        (
             "stated length bounds are (3, 4)",
             lambda f: f.bounds.get("nonzero_alpha") == 3 and f.bounds.get("zero_alpha") == 4,
-        ))
+        ),
+    ]
     return _run(f, checks)
 
 

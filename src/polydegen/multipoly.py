@@ -21,8 +21,7 @@ from __future__ import annotations
 import enum
 import sys
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import _kernel as K
@@ -36,7 +35,6 @@ from .errors import (
 
 _W = K.SLOT_BITS
 _SLOT = K.SLOT_MASK
-_guard = lru_cache(maxsize=None)(K.guard_mask)
 
 
 class RingMode(enum.Enum):
@@ -68,21 +66,18 @@ class MultiPoly:
     def __init__(self, arity: int, terms: Mapping[tuple, int | Fraction] | None = None):
         if arity < 1:
             raise ValueError("arity must be at least 1")
-        acc: dict[int, Fraction] = {}
-        if terms:
-            for key, coeff in terms.items():
-                key = tuple(int(e) for e in key)
-                if len(key) != arity + 1:
-                    raise ArityMismatch(
-                        f"term key {key} has length {len(key)}, expected {arity + 1}"
-                    )
-                if any(e < 0 for e in key[:arity]):
-                    raise ValueError(f"negative variable exponent in {key}")
-                _check_bound(key[:arity])
-                packed = _pack(key[:arity], key[arity])
-                acc[packed] = acc.get(packed, _ZERO) + Fraction(coeff)
+        pieces = []
+        for key, coeff in (terms or {}).items():
+            key = tuple(int(e) for e in key)
+            if len(key) != arity + 1:
+                raise ArityMismatch(f"term key {key} has length {len(key)}, expected {arity + 1}")
+            if any(e < 0 for e in key[:arity]):
+                raise ValueError(f"negative variable exponent in {key}")
+            _check_bound(key[:arity])
+            c = Fraction(coeff)
+            pieces.append(K.canonical({_pack(key[:arity], key[arity]): c.numerator}, c.denominator))
         object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "_terms", _from_fractions(acc))
+        object.__setattr__(self, "_terms", K.add_terms(*pieces))
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
@@ -279,7 +274,7 @@ class MultiPoly:
         elif other.arity != self.arity:
             raise ArityMismatch(f"arity {self.arity} vs {other.arity}")
         return MultiPoly._raw(
-            self.arity, K.mul_terms(self._terms, other._terms, _guard(self.arity))
+            self.arity, K.mul_terms(self._terms, other._terms, K.guard_mask(self.arity))
         )
 
     __rmul__ = __mul__
@@ -390,7 +385,7 @@ class MultiPoly:
             return MultiPoly.zero(n)
         t_shift = n * _W
         low_mask = (1 << t_shift) - 1
-        guard = _guard(n)
+        guard = K.guard_mask(n)
         # the smallest key has the smallest t exponent
         r_shift = min(self._terms) >> t_shift << t_shift
         d_shift = min(other._terms) >> t_shift << t_shift
@@ -401,16 +396,17 @@ class MultiPoly:
             return _degree(key & low_mask), key & low_mask, key
 
         d_key = max(div, key=order)
-        quotient: dict[int, Fraction] = {}
+        shift = r_shift - d_shift
+        quotient = []
         while rem:
             r_key = max(rem, key=order)
             gap = r_key - d_key
             if gap < 0 or gap & guard:  # a variable's exponent, or t's, would go negative
                 return None
-            q = quotient[gap] = Fraction(rem[r_key] * div.den, rem.den * div[d_key])
+            q = Fraction(rem[r_key] * div.den, rem.den * div[d_key])
+            quotient.append(K.make({gap + shift: q.numerator}, q.denominator))
             rem = K.sub_terms(rem, K.mul_terms(K.make({gap: q.numerator}, q.denominator), div, guard))
-        shift = r_shift - d_shift
-        return MultiPoly._raw(n, _from_fractions({key + shift: c for key, c in quotient.items()}))
+        return MultiPoly._raw(n, K.add_terms(*quotient))
 
     def specialize_t(self, alpha: int | Fraction) -> MultiPoly:
         """Substitute a rational value for t.
@@ -579,13 +575,6 @@ def _degree(low: int) -> int:
     return total
 
 
-def _from_fractions(values: dict[int, Fraction]) -> K.Terms:
-    """Canonical terms from packed key -> Fraction."""
-    values = {key: c for key, c in values.items() if c}
-    den = lcm(*(c.denominator for c in values.values()))
-    return K.make({key: c.numerator * (den // c.denominator) for key, c in values.items()}, den)
-
-
 class _Substitution:
     """One substitution pass; power tables are shared across all groups."""
 
@@ -594,7 +583,7 @@ class _Substitution:
         self.images = images
         self.m = m
         self.den = den
-        self.guard = _guard(m)
+        self.guard = K.guard_mask(m)
         # the powers of each image by exponent; a sum's fill 1..k in order
         self._powers: list[dict[int, K.Terms]] = [{1: img._terms} for img in images]
 
@@ -620,13 +609,8 @@ class _Substitution:
         n = self.n
         if i == n:
             # only t is left: move its slot from above n variables to above m
-            if self.m >= n:
-                shift = (self.m - n) * _W
-                out = {key << shift: c for key, c in terms.items()}
-            else:
-                shift = (n - self.m) * _W
-                out = {key >> shift: c for key, c in terms.items()}
-            return K.canonical(out, self.den)
+            n_shift, m_shift = n * _W, self.m * _W
+            return K.canonical({key >> n_shift << m_shift: c for key, c in terms.items()}, self.den)
         shift = (n - 1 - i) * _W
         groups: dict[int, dict[int, int]] = {}
         for key, c in terms.items():
@@ -639,5 +623,3 @@ class _Substitution:
             pieces.append(part if e == 0 else K.mul_terms(part, self.power(i, e), guard))
         return K.add_terms(*pieces)
 
-
-_ZERO = Fraction(0)

@@ -40,7 +40,6 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from functools import cached_property
 from itertools import islice
 from math import lcm
 
@@ -154,16 +153,8 @@ class _Parser:
         self.pos = 0
         self.arity = arity  # None until parse_poly infers it
         self.var_keys: dict[str, int] = {}  # variable token -> its key
-
-    # The key of t and the guard mask grow with the arity: each is built the
-    # first time the input needs it, as MultiPoly arithmetic builds them.
-    @cached_property
-    def t(self) -> int:
-        return t_key(self.arity)
-
-    @cached_property
-    def guard(self) -> int:
-        return guard_mask(self.arity)
+        # the key of t and the guard mask, set by parse_poly with the arity
+        self.t = self.guard = 0
 
     def expr(self) -> Monomial | MultiPoly:
         """A sum: a monomial when it has at most one term, else a MultiPoly."""
@@ -349,6 +340,8 @@ def parse_poly(text: str, arity: int | None = None) -> MultiPoly:
         parser.arity = max([1, *(_digits(name[1:]) for name in variables)])
     if not 1 <= parser.arity <= MAX_ARITY:
         raise ParseError(f"arity {_clip(str(parser.arity))} is outside 1..{MAX_ARITY}")
+    parser.t = t_key(parser.arity)
+    parser.guard = guard_mask(parser.arity)
     try:
         result = parser.expr()
     except ExponentOverflow as exc:

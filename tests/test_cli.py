@@ -165,6 +165,17 @@ def test_output_matches_pinned_digests(capsys, argv, prefix):
     assert hashlib.sha256(payload.encode("utf-8")).hexdigest().startswith(prefix)
 
 
+@pytest.mark.parametrize("fmt, prefix", [("text", "29bd1afe24f876a4"), ("json", "7f4286d9d10248e9")])
+def test_verify_reports_match_pinned_digests(tmp_path, capsys, fmt, prefix):
+    # SHA-256 of verify's report on the smith l = 1 document, as earlier
+    # versions print it
+    doc_path = tmp_path / "smith.json"
+    assert run(["smith", "--l", "1", "--out", str(doc_path)], capsys)[0] == 0
+    code, payload, _ = run(["verify", "--in", str(doc_path), "--format", fmt], capsys)
+    assert code == 0
+    assert hashlib.sha256(payload.encode("utf-8")).hexdigest().startswith(prefix)
+
+
 @pytest.mark.parametrize("index", [0, 1])
 def test_verify_fails_fast_on_a_perturbed_stabilization_derivation(tmp_path, capsys, index):
     # the word is not composed once "derivation kills h" or "gamma and rho
@@ -228,12 +239,31 @@ def test_verify_parse_problems_exit_two(tmp_path, capsys):
     del doc["transcript"]
     no_transcript.write_text(json.dumps(doc))
     assert run(["verify", "--in", str(no_transcript)], capsys)[0] == 2
+    # every field an emitter writes is required, even with its identity
+    # dropped from the transcript
+    for argv, field in [
+        (["specialize", "--l", "1", "--alpha=0"], "fiber_at_zero"),
+        (["smith", "--l", "1"], "length_bounds"),
+    ]:
+        doc = json.loads(run(argv, capsys)[1])
+        del doc[field]
+        doc["transcript"].pop()
+        stripped = tmp_path / f"no_{field}.json"
+        stripped.write_text(json.dumps(doc))
+        code, _, err = run(["verify", "--in", str(stripped)], capsys)
+        assert code == 2
+        assert f"missing the field {field!r}" in err
 
 
 @pytest.mark.parametrize(
     "content",
-    [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000, b'{"a":' * 100_000 + b"1" + b"}" * 100_000],
-    ids=["not UTF-8", "deep arrays", "deep objects"],
+    [
+        b"\xff\xfe{}",
+        b"[" * 100_000 + b"]" * 100_000,
+        b'{"a":' * 100_000 + b"1" + b"}" * 100_000,
+        b'{"format_version": 2, "kind": "family", "l": 1, "transcript": []}',
+    ],
+    ids=["not UTF-8", "deep arrays", "deep objects", "format_version 2"],
 )
 @pytest.mark.parametrize(
     "command", [["verify"], ["specialize", "--alpha", "2"]], ids=["verify", "specialize"]
@@ -252,6 +282,20 @@ def test_an_unreadable_document_exits_two(tmp_path, command, content):
     assert result.returncode == 2, result.stderr
     assert time.perf_counter() - start < 5.0
     assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("version", [2, None], ids=["format_version 2", "no format_version"])
+def test_specialize_reads_a_header_as_verify_does(tmp_path, capsys, version):
+    doc = json.loads(run(["family", "--l", "1"], capsys)[1])
+    if version is None:
+        del doc["format_version"]
+    else:
+        doc["format_version"] = version
+    bad = tmp_path / "header.json"
+    bad.write_text(json.dumps(doc))
+    verified = run(["verify", "--in", str(bad)], capsys)
+    assert verified[0] == 2 and verified[2].startswith("error: ")
+    assert run(["specialize", "--in", str(bad), "--alpha=2"], capsys) == verified
 
 
 def test_verify_rejects_an_exponent_beyond_the_bound(tmp_path, capsys):

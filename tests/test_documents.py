@@ -38,15 +38,13 @@ def docs():
         "conjugation": conjugation_document(cert),
         "wildness": wildness_document(cert.delta, cert.h, l=1),
         "tameness_word": word_document(word, cert.delta, cert.h, l=1),
-        "stabilization": stabilization_document(
-            stab, l=1, bounds={"nonzero_alpha": 3, "zero_alpha": 4}
-        ),
+        "stabilization": stabilization_document(stab, l=1),
     }
 
 
 def all_pass(doc):
     checks = verify_document(doc)
-    return all(c.passed for c in checks), checks
+    return all(c["pass"] for c in checks), checks
 
 
 def test_every_kind_emits_and_reverifies(docs):
@@ -54,10 +52,8 @@ def test_every_kind_emits_and_reverifies(docs):
         assert doc["kind"] == kind
         assert doc["format_version"] == FORMAT_VERSION
         ok, checks = all_pass(doc)
-        assert ok, [c.identity for c in checks if not c.passed]
-        assert doc["transcript"] == [
-            {"identity": c.identity, "pass": c.passed} for c in checks
-        ]
+        assert ok, [c["identity"] for c in checks if not c["pass"]]
+        assert doc["transcript"] == checks
 
 
 def test_dumps_loads_round_trip(docs):
@@ -216,7 +212,7 @@ def test_single_field_perturbations_fail_verification(docs):
             doc = copy.deepcopy(docs[kind])
             _set_path(doc, path, _mutate(_get_path(doc, path)))
             checks = verify_document(doc)
-            failed = [c.identity for c in checks if not c.passed]
+            failed = [c["identity"] for c in checks if not c["pass"]]
             assert failed, f"{kind}: perturbing {path} went unnoticed"
 
 
@@ -224,22 +220,22 @@ def test_verdict_perturbation_fails(docs):
     doc = copy.deepcopy(docs["wildness"])
     doc["verdict"] = "tame"
     checks = verify_document(doc)
-    assert any(not c.passed for c in checks)
+    assert any(not c["pass"] for c in checks)
     doc = copy.deepcopy(docs["family"])
     doc["wildness"]["verdict"] = "tame"
     checks = verify_document(doc)
-    assert any(not c.passed for c in checks)
+    assert any(not c["pass"] for c in checks)
 
 
 def test_factor_kind_perturbation_fails(docs):
     doc = copy.deepcopy(docs["tameness_word"])
     doc["factor_kinds"][1] = "triangular"
     checks = verify_document(doc)
-    assert any(not c.passed for c in checks)
+    assert any(not c["pass"] for c in checks)
     doc = copy.deepcopy(docs["tameness_word"])
     doc["factor_kinds"] = ["opaque"] * 3
     checks = verify_document(doc)
-    assert any(not c.passed for c in checks)
+    assert any(not c["pass"] for c in checks)
 
 
 def test_semantic_breakage_is_reported_not_raised(docs):
@@ -248,7 +244,7 @@ def test_semantic_breakage_is_reported_not_raised(docs):
     doc = copy.deepcopy(docs["tameness_word"])
     doc["derivation"] = ["x2", "x1", "x1"]
     checks = verify_document(doc)
-    assert any(not c.passed for c in checks)
+    assert any(not c["pass"] for c in checks)
 
 
 def test_emission_refuses_inconsistent_input():
@@ -269,7 +265,7 @@ def test_wildness_document_for_tame_control_is_consistent():
     doc = wildness_document(delta, h)
     assert doc["verdict"] == "tame"
     ok, checks = all_pass(doc)
-    assert ok, [c.identity for c in checks if not c.passed]
+    assert ok, [c["identity"] for c in checks if not c["pass"]]
 
 
 def test_render_text(docs):
