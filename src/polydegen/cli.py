@@ -20,6 +20,8 @@ from fractions import Fraction
 
 from .certificates import build_conjugation, build_stabilization, specialized_tameness
 from .documents import (
+    _field,
+    _poly_field,
     document_kind,
     dumps,
     family_document,
@@ -129,9 +131,12 @@ def _l_for(args: argparse.Namespace) -> int:
         doc = _read_document(args.input)
         if document_kind(doc) != "family":
             raise ParseError("--in expects a family document")
-        l = doc.get("l")
-        if not isinstance(l, int) or isinstance(l, bool) or l < 1:
-            raise ParseError("family document has no usable l")
+        l = _field(doc, "l", int)
+        # an honest family document's h has 2l + 3 terms, so this bounds
+        # the rebuild by the document's size
+        terms = _poly_field(doc, "h", 3).term_count()
+        if not 1 <= l <= terms:
+            raise ParseError(f"family document's l is outside 1..{terms}, the term count of its h")
         return l
     if args.l is None:
         raise ParseError("specialize needs --l or --in")
@@ -157,9 +162,7 @@ def cmd_smith(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     doc = _read_document(args.input)
-    embedded = doc.get("transcript")
-    if not isinstance(embedded, list):
-        raise ParseError("document has no transcript to verify against")
+    embedded = _field(doc, "transcript", list)
     recomputed = verify_document(doc)
     matches = embedded == recomputed
     verified = matches and all(entry["pass"] for entry in recomputed)

@@ -7,9 +7,11 @@ list is the only place its identities are written: the constructors only
 build.  A builder names the fields, and ``_document`` renders them as text,
 runs the kind's verifier on them, refuses to emit unless every identity
 passes, and stores the transcript it just computed; ``verify`` runs the
-same verifier.  A verifier
-reparses every field from text and recomputes every identity from scratch,
-so any edit to any embedded value flips at least one transcript line.
+same verifier.  A verifier reads every field through one reader, which
+requires the field with its type and a dict field with exactly its keys;
+it reparses every field from text and recomputes every identity from
+scratch, so any edit to any embedded value either makes the document
+unreadable or flips at least one transcript line.
 
 Document kinds: family, conjugation, wildness, tameness_word,
 stabilization.
@@ -19,8 +21,8 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import cache
 from types import SimpleNamespace
-from typing import Callable
 
 from .certificates import (
     ConjugationCertificate,
@@ -43,36 +45,36 @@ from .parsing import parse_poly, parse_rational
 FORMAT_VERSION = 1
 
 _FLAGS = ("f2_residue_nonzero", "h_residue_not_in_x1", "derivative_outside_ideal")
+_LENGTH_BOUNDS = {"nonzero_alpha": 3, "zero_alpha": 4, "zero_alpha_exactness": "claimed"}
 
-
-class _Lazy:
-    """Memoized thunk that replays its error on every call."""
-
-    def __init__(self, fn: Callable):
-        self._fn = fn
-        self._result = None
-
-    def __call__(self):
-        if self._result is None:
-            try:
-                self._result = ("ok", self._fn())
-            except PolydegenError as exc:
-                self._result = ("err", exc)
-        tag, value = self._result
-        if tag == "err":
-            raise value
-        return value
+# the keys of the flag and residue dicts, each with its type
+_FLAG_KEYS = dict.fromkeys(_FLAGS, bool)
+_RESIDUE_KEYS = dict.fromkeys(("f2", "h", "derivative"), str)
 
 
 # ------------------------------------------------------------ field parsing
 
 
-def _field(doc: dict, key: str, kind: type):
+def _field(doc: dict, key: str, kind: type | dict):
+    """``doc[key]``, which must be of type ``kind``.
+
+    A ``kind`` that is a dict of key -> type reads a dict field: the value
+    must have exactly those keys, each read the same way.
+    """
     if key not in doc:
         raise ParseError(f"document is missing the field {key!r}")
     value = doc[key]
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise ParseError(f"field {key!r} should be {kind.__name__}, found {type(value).__name__}")
+    want = dict if isinstance(kind, dict) else kind
+    if not isinstance(value, want) or (want is int and isinstance(value, bool)):
+        raise ParseError(f"field {key!r} should be {want.__name__}, found {type(value).__name__}")
+    if isinstance(kind, dict):
+        if value.keys() != kind.keys():
+            raise ParseError(f"field {key!r} should have exactly the keys {', '.join(kind)}")
+        for k, k_kind in kind.items():
+            try:
+                _field(value, k, k_kind)
+            except ParseError as exc:
+                raise ParseError(f"field {key!r}: {exc}") from None
     return value
 
 
@@ -102,10 +104,6 @@ def _parse_poly_list(values, arity: int, label: str) -> tuple[MultiPoly, ...]:
 
 def _poly_list_field(doc: dict, key: str, arity: int) -> tuple[MultiPoly, ...]:
     return _parse_poly_list(_field(doc, key, list), arity, key)
-
-
-def _rational_field(doc: dict, key: str) -> Fraction:
-    return parse_rational(_field(doc, key, str))
 
 
 # ------------------------------------------------------------------ builders
@@ -181,11 +179,8 @@ def _wildness_fields(report: WildnessReport) -> dict:
 
 
 def _residues(report: WildnessReport) -> dict:
-    return {
-        "f2": str(report.f2_residue),
-        "h": str(report.h_residue),
-        "derivative": str(report.derivative_residue),
-    }
+    residues = (report.f2_residue, report.h_residue, report.derivative_residue)
+    return dict(zip(_RESIDUE_KEYS, map(str, residues)))
 
 
 def wildness_document(
@@ -239,7 +234,7 @@ def stabilization_document(cert: StabilizationCertificate, l: int | None = None)
         gamma=cert.gamma,
         rho=cert.rho,
         factor_count=cert.factor_count,
-        length_bounds={"nonzero_alpha": 3, "zero_alpha": 4, "zero_alpha_exactness": "claimed"},
+        length_bounds=dict(_LENGTH_BOUNDS),
     )
 
 
@@ -251,7 +246,10 @@ def stabilization_document(cert: StabilizationCertificate, l: int | None = None)
 # read the verifier's local constants) and fails by returning False or by
 # raising a PolydegenError, and an entry fails without running when one of
 # its premises, the identities of earlier entries, failed.  Maps are built
-# from their images on first use, once.
+# from their images on first use and cached.  An error is not cached but
+# raised again on the next use, which costs little: every thunk that can
+# raise does so after a cheap validation, and composing the word, the one
+# costly thunk, runs only behind its premises.
 
 
 def document_kind(doc: dict) -> str:
@@ -300,7 +298,7 @@ def _run(f: SimpleNamespace, checks) -> list[dict]:
 
 # Identities that read the same in several kinds.  _KILLS_H needs ``f.delta``
 # and ``f.h``; the rest read the fields of _conjugation_fields.
-_RING_MODE = ("ring mode is Q[t,t^-1]", lambda f: f.doc.get("ring_mode") == RingMode.LAURENT.value)
+_RING_MODE = ("ring mode is Q[t,t^-1]", lambda f: f.ring_mode == RingMode.LAURENT.value)
 _KILLS_H = ("derivation kills h", lambda f: f.delta().apply(f.h).is_zero())
 _TAU_TRIANGULAR = (
     "tau is triangular over Q[t,t^-1]",
@@ -326,27 +324,27 @@ def _pair_fields(doc: dict, arity: int) -> SimpleNamespace:
     """The pair (derivation, h) that every kind states, parsed in that order:
     ``f.delta_images``, ``f.h`` and the derivation ``f.delta()``."""
     f = SimpleNamespace(
-        doc=doc,
         delta_images=_poly_list_field(doc, "derivation", arity),
         h=_poly_field(doc, "h", arity),
     )
-    f.delta = _Lazy(lambda: TriangularDerivation(f.delta_images))
+    f.delta = cache(lambda: TriangularDerivation(f.delta_images))
     return f
 
 
 def _conjugation_fields(doc: dict, arity: int) -> SimpleNamespace:
     """The fields of a conjugation, which a family document holds too."""
     f = _pair_fields(doc, arity)
+    f.ring_mode = _field(doc, "ring_mode", str)
     f.tau_images = _poly_list_field(doc, "tau", arity)
     f.tau_inv_images = _poly_list_field(doc, "tau_inv", arity)
     f.p = _poly_field(doc, "slice_potential", arity)
     f.eps_images = _poly_list_field(doc, "epsilon", arity)
     f.phi_images = _poly_list_field(doc, "automorphism", arity)
     f.x = tuple(MultiPoly.variable(arity, i) for i in range(1, arity + 1))
-    f.tau = _Lazy(lambda: PolyEndo(f.tau_images))
-    f.tau_inv = _Lazy(lambda: PolyEndo(f.tau_inv_images))
-    f.epsilon = _Lazy(lambda: PolyEndo(f.eps_images))
-    f.phi = _Lazy(lambda: PolyEndo(f.phi_images))
+    f.tau = cache(lambda: PolyEndo(f.tau_images))
+    f.tau_inv = cache(lambda: PolyEndo(f.tau_inv_images))
+    f.epsilon = cache(lambda: PolyEndo(f.eps_images))
+    f.phi = cache(lambda: PolyEndo(f.phi_images))
     return f
 
 
@@ -362,9 +360,9 @@ def _verify_family(doc: dict) -> list[dict]:
     f.dz_images = _poly_list_field(doc, "derivation_at_zero", arity)
     f.h_limit = _poly_field(doc, "h_limit", arity)
     f.fiber_images = _poly_list_field(doc, "fiber_at_zero", arity)
-    f.wild = _field(doc, "wildness", dict)
-    f.delta_zero = _Lazy(lambda: TriangularDerivation(f.dz_images))
-    f.fiber = _Lazy(lambda: PolyEndo(f.fiber_images))
+    f.wild = _field(doc, "wildness", {**_FLAG_KEYS, "verdict": str})
+    f.delta_zero = cache(lambda: TriangularDerivation(f.dz_images))
+    f.fiber = cache(lambda: PolyEndo(f.fiber_images))
     x1, x2, x3 = f.x
     t = MultiPoly.parameter(arity)
     # the closed formulas read c_0..c_l
@@ -438,7 +436,7 @@ def _verify_family(doc: dict) -> list[dict]:
             "wildness flags recompute at t = 0",
             lambda f: f.wild == _wildness_fields(check_wild_at_zero(f.delta(), f.h)),
         ),
-        ("wildness verdict is wild", lambda f: f.wild.get("verdict") == WILD),
+        ("wildness verdict is wild", lambda f: f.wild["verdict"] == WILD),
     ))
 
 
@@ -473,11 +471,11 @@ def _verify_wildness(doc: dict) -> list[dict]:
     if arity != 3:
         raise ParseError("wildness documents have arity 3")
     f = _pair_fields(doc, arity)
-    f.flags = _field(doc, "flags", dict)
-    f.residues = _field(doc, "residues", dict)
+    f.flags = _field(doc, "flags", _FLAG_KEYS)
+    f.residues = _field(doc, "residues", _RESIDUE_KEYS)
     f.verdict = _field(doc, "verdict", str)
     f.fiber_images = _poly_list_field(doc, "fiber_at_zero", arity)
-    f.report = _Lazy(lambda: check_wild_at_zero(f.delta(), f.h))
+    f.report = cache(lambda: check_wild_at_zero(f.delta(), f.h))
     return _run(f, (
         (
             "derivation and h are regular at t = 0",
@@ -492,14 +490,11 @@ def _verify_wildness(doc: dict) -> list[dict]:
         *(
             (
                 f"flag {flag} recomputes",
-                lambda f, i=i, flag=flag: f.flags.get(flag) == f.report().flags[i],
+                lambda f, i=i, flag=flag: f.flags[flag] == f.report().flags[i],
             )
             for i, flag in enumerate(_FLAGS)
         ),
-        (
-            "residues recompute",
-            lambda f: all(f.residues.get(k) == v for k, v in _residues(f.report()).items()),
-        ),
+        ("residues recompute", lambda f: f.residues == _residues(f.report())),
         ("verdict matches the flags", lambda f: f.verdict == f.report().verdict),
         (
             "fiber_at_zero is exp(h*delta) at t = 0",
@@ -510,7 +505,7 @@ def _verify_wildness(doc: dict) -> list[dict]:
 
 def _verify_word(doc: dict) -> list[dict]:
     arity = _field(doc, "arity", int)
-    alpha = _rational_field(doc, "alpha")
+    alpha = parse_rational(_field(doc, "alpha", str))
     f = _pair_fields(doc, arity)
     factor_lists = _field(doc, "factors", list)
     factors = [
@@ -522,8 +517,8 @@ def _verify_word(doc: dict) -> list[dict]:
     if len(kinds) != len(factors):
         raise ParseError("factor_kinds and factors have different lengths")
     f.fiber_images = _poly_list_field(doc, "fiber", arity)
-    f.fiber = _Lazy(lambda: PolyEndo(f.fiber_images))
-    f.factors = [_Lazy(lambda imgs=imgs: PolyEndo(imgs)) for imgs in factors]
+    f.fiber = cache(lambda: PolyEndo(f.fiber_images))
+    f.factors = [cache(lambda imgs=imgs: PolyEndo(imgs)) for imgs in factors]
     return _run(f, (
         (
             "factors compose to the fiber",
@@ -564,18 +559,18 @@ def _verify_stabilization(doc: dict) -> list[dict]:
     f.gamma_images = _poly_list_field(doc, "gamma", m)
     f.rho_images = _poly_list_field(doc, "rho", m)
     f.factor_count = _field(doc, "factor_count", int)
-    f.bounds = _field(doc, "length_bounds", dict)
-    f.base = _Lazy(lambda: PolyEndo(f.base_images))
-    f.extension = _Lazy(lambda: PolyEndo(f.ext_images))
-    f.gamma = _Lazy(lambda: PolyEndo(f.gamma_images))
-    f.rho = _Lazy(lambda: PolyEndo(f.rho_images))
+    f.bounds = _field(doc, "length_bounds", {k: type(v) for k, v in _LENGTH_BOUNDS.items()})
+    f.base = cache(lambda: PolyEndo(f.base_images))
+    f.extension = cache(lambda: PolyEndo(f.ext_images))
+    f.gamma = cache(lambda: PolyEndo(f.gamma_images))
+    f.rho = cache(lambda: PolyEndo(f.rho_images))
     # (gamma_inv, rho_inv, gamma, rho): the certificate derives the inverses
-    f.word = _Lazy(
+    f.word = cache(
         lambda: StabilizationCertificate(
             f.delta(), f.h, f.base(), f.extension(), f.gamma(), f.rho()
         ).factor_word()
     )
-    f.composed = _Lazy(lambda: compose_commutator(*f.word()))
+    f.composed = cache(lambda: compose_commutator(*f.word()))
     x = [MultiPoly.variable(m, i) for i in range(1, m + 1)]
 
     def inverts(f) -> bool:
@@ -616,10 +611,7 @@ def _verify_stabilization(doc: dict) -> list[dict]:
         ]
     checks += [
         ("factor_count is 4", lambda f: f.factor_count == 4),
-        (
-            "stated length bounds are (3, 4)",
-            lambda f: f.bounds.get("nonzero_alpha") == 3 and f.bounds.get("zero_alpha") == 4,
-        ),
+        ("stated length bounds are (3, 4)", lambda f: f.bounds == _LENGTH_BOUNDS),
     ]
     return _run(f, checks)
 
@@ -669,12 +661,12 @@ def render_text(doc: dict) -> str:
                 lines.append(f"  {k}: {v}")
         else:
             lines.append(f"{key}: {value}")
-    entries = doc.get("transcript", [])
+    entries = doc["transcript"]
     lines.append("transcript:")
     for entry in entries:
-        mark = "pass" if entry.get("pass") else "FAIL"
-        lines.append(f"  {mark}  {entry.get('identity')}")
-    good = sum(1 for e in entries if e.get("pass"))
+        mark = "pass" if entry["pass"] else "FAIL"
+        lines.append(f"  {mark}  {entry['identity']}")
+    good = sum(1 for e in entries if e["pass"])
     verdict = "pass" if good == len(entries) else "FAIL"
     lines.append(f"result: {verdict} ({good}/{len(entries)} identities)")
     return "\n".join(lines) + "\n"

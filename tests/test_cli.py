@@ -241,18 +241,33 @@ def test_verify_parse_problems_exit_two(tmp_path, capsys):
     assert run(["verify", "--in", str(no_transcript)], capsys)[0] == 2
     # every field an emitter writes is required, even with its identity
     # dropped from the transcript
-    for argv, field in [
-        (["specialize", "--l", "1", "--alpha=0"], "fiber_at_zero"),
-        (["smith", "--l", "1"], "length_bounds"),
+    for argv, field, identity in [
+        (["family", "--l", "1"], "ring_mode", "ring mode is Q[t,t^-1]"),
+        (
+            ["specialize", "--l", "1", "--alpha=0"],
+            "fiber_at_zero",
+            "fiber_at_zero is exp(h*delta) at t = 0",
+        ),
+        (["smith", "--l", "1"], "length_bounds", "stated length bounds are (3, 4)"),
     ]:
         doc = json.loads(run(argv, capsys)[1])
         del doc[field]
-        doc["transcript"].pop()
+        doc["transcript"] = [entry for entry in doc["transcript"] if entry["identity"] != identity]
         stripped = tmp_path / f"no_{field}.json"
         stripped.write_text(json.dumps(doc))
         code, _, err = run(["verify", "--in", str(stripped)], capsys)
         assert code == 2
         assert f"missing the field {field!r}" in err
+    # and a dict field has exactly its keys
+    wildness = run(["specialize", "--l", "1", "--alpha=0"], capsys)[1]
+    for field in ("flags", "residues"):
+        doc = json.loads(wildness)
+        doc[field]["extra"] = "x1"
+        extended = tmp_path / f"extra_{field}.json"
+        extended.write_text(json.dumps(doc))
+        code, _, err = run(["verify", "--in", str(extended)], capsys)
+        assert code == 2
+        assert f"field {field!r} should have exactly the keys" in err
 
 
 @pytest.mark.parametrize(
@@ -282,6 +297,27 @@ def test_an_unreadable_document_exits_two(tmp_path, command, content):
     assert result.returncode == 2, result.stderr
     assert time.perf_counter() - start < 5.0
     assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+
+
+def test_specialize_rejects_an_l_its_family_document_cannot_hold(tmp_path, capsys):
+    # an honest family document's h has 2l + 3 terms, so its l is at most
+    # that count; verify exits 1 on this document, and specialize must not
+    # rebuild the family at l = 100000
+    doc = json.loads(run(["family", "--l", "1"], capsys)[1])
+    doc["l"] = 100_000
+    bad = tmp_path / "huge_l.json"
+    bad.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "polydegen", "specialize", "--alpha", "2", "--in", str(bad)],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert result.returncode == 2, result.stderr
+    assert time.perf_counter() - start < 5.0
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert "the term count of its h" in result.stderr
 
 
 @pytest.mark.parametrize("version", [2, None], ids=["format_version 2", "no format_version"])

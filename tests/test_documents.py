@@ -202,6 +202,7 @@ PERTURBATION_PATHS = {
         ("rho", 0),
         ("factor_count",),
         ("length_bounds", "zero_alpha"),
+        ("length_bounds", "zero_alpha_exactness"),
     ],
 }
 
@@ -214,6 +215,24 @@ def test_single_field_perturbations_fail_verification(docs):
             checks = verify_document(doc)
             failed = [c["identity"] for c in checks if not c["pass"]]
             assert failed, f"{kind}: perturbing {path} went unnoticed"
+
+
+@pytest.mark.parametrize(
+    "kind, field, edit",
+    [
+        ("stabilization", "length_bounds", lambda value: value.pop("zero_alpha_exactness")),
+        ("family", "wildness", lambda value: value.update(extra=True)),
+        ("wildness", "flags", lambda value: value.update(f2_residue_nonzero=1)),
+        ("stabilization", "length_bounds", lambda value: value.update(zero_alpha=4.0)),
+    ],
+    ids=["missing key", "extra key", "int for bool", "float for int"],
+)
+def test_a_dict_field_has_exactly_its_keys_and_their_types(docs, kind, field, edit):
+    # 1 == True and 4.0 == 4, so a comparison alone would let these through
+    doc = copy.deepcopy(docs[kind])
+    edit(doc[field])
+    with pytest.raises(ParseError, match=f"field '{field}'"):
+        verify_document(doc)
 
 
 def test_verdict_perturbation_fails(docs):
