@@ -27,8 +27,8 @@ fresh container, except that the sum of one piece is that piece.
 ``add_terms`` is the one sum, and it is n-ary: it puts any number of pieces
 over the lcm of their denominators in one pass and reduces the sum with one
 gcd, so a caller that adds many polynomials (a substitution's groups, an
-exponential series, a parsed sum, the terms of a constructor) copies and
-reduces no partial sum.  Subtraction adds the negation.
+exponential series, the terms of a constructor) copies and reduces no
+partial sum.  Subtraction adds the negation.
 """
 
 from __future__ import annotations
@@ -102,9 +102,7 @@ def t_key(arity: int) -> int:
     return 1 << (arity * SLOT_BITS)
 
 
-def monomial_power(
-    key: int, num: int, den: int, e: int, arity: int, power=pow
-) -> tuple[int, int, int]:
+def monomial_power(key: int, num: int, den: int, e: int, arity: int) -> tuple[int, int, int]:
     """The term ``num/den`` times the monomial ``key``, raised to ``e``.
 
     Returns ``(key, numerator, denominator > 0)`` in lowest terms; ``den``
@@ -112,7 +110,6 @@ def monomial_power(
     A negative ``e`` needs a unit, a nonzero term with no variable (``c*t^k``),
     and raises NonUnit otherwise; zero to the power 0 is 1.  Raises
     ExponentOverflow when a variable exponent would pass ``MAX_EXPONENT``.
-    ``power(base, e)`` raises the numerator and denominator.
     """
     low = key & (t_key(arity) - 1)  # the variable slots
     if e < 0:
@@ -133,7 +130,7 @@ def monomial_power(
     if g != 1:
         num //= g
         den //= g
-    return key * e, power(num, e), power(den, e)
+    return key * e, num**e, den**e
 
 
 @lru_cache(maxsize=None)

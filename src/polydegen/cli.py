@@ -17,11 +17,11 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from functools import partial
 
 from .certificates import build_conjugation, build_stabilization, specialized_tameness
 from .documents import (
     _field,
-    _poly_field,
     document_kind,
     dumps,
     family_document,
@@ -34,7 +34,7 @@ from .documents import (
 )
 from .errors import ParseError, PolydegenError
 from .family import build_family
-from .parsing import parse_rational
+from .parsing import parse_poly, parse_rational
 
 
 def _positive_int(text: str) -> int:
@@ -134,7 +134,7 @@ def _l_for(args: argparse.Namespace) -> int:
         l = _field(doc, "l", int)
         # an honest family document's h has 2l + 3 terms, so this bounds
         # the rebuild by the document's size
-        terms = _poly_field(doc, "h", 3).term_count()
+        terms = _field(doc, "h", partial(parse_poly, arity=3)).term_count()
         if not 1 <= l <= terms:
             raise ParseError(f"family document's l is outside 1..{terms}, the term count of its h")
         return l
@@ -162,9 +162,9 @@ def cmd_smith(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     doc = _read_document(args.input)
-    embedded = _field(doc, "transcript", list)
+    embedded = _field(doc, "transcript", [{"identity": str, "pass": bool}])
     recomputed = verify_document(doc)
-    matches = embedded == recomputed
+    matches = list(embedded) == recomputed
     verified = matches and all(entry["pass"] for entry in recomputed)
     if args.format == "json":
         payload = dumps(

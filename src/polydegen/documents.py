@@ -8,10 +8,15 @@ build.  A builder names the fields, and ``_document`` renders them as text,
 runs the kind's verifier on them, refuses to emit unless every identity
 passes, and stores the transcript it just computed; ``verify`` runs the
 same verifier.  A verifier reads every field through one reader, which
-requires the field with its type and a dict field with exactly its keys;
-it reparses every field from text and recomputes every identity from
-scratch, so any edit to any embedded value either makes the document
-unreadable or flips at least one transcript line.
+requires the document to have exactly its kind's keys, each field its
+type, a dict field exactly its keys and a list field items of its type;
+it reads a polynomial or a rational only as the canonical text that
+``str`` writes.  It reparses every field from text and recomputes every
+identity from scratch, so an edit to an embedded value either makes the
+document unreadable or flips at least one transcript line.  Two edits
+keep a document verified: the ``l`` that a document of any kind but
+family may state, which no identity checks yet, and a polynomial
+coefficient rewritten out of lowest terms, which reads at its value.
 
 Document kinds: family, conjugation, wildness, tameness_word,
 stabilization.
@@ -21,7 +26,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from types import SimpleNamespace
 
 from .certificates import (
@@ -55,55 +60,62 @@ _RESIDUE_KEYS = dict.fromkeys(("f2", "h", "derivative"), str)
 # ------------------------------------------------------------ field parsing
 
 
-def _field(doc: dict, key: str, kind: type | dict):
-    """``doc[key]``, which must be of type ``kind``.
+class _Fields(dict):
+    """A document's top-level fields, recording the keys that were read.
 
-    A ``kind`` that is a dict of key -> type reads a dict field: the value
-    must have exactly those keys, each read the same way.
+    The header keys, and the transcript that only ``verify`` reads, count
+    as read.
     """
+
+    def __init__(self, doc: dict):
+        super().__init__(doc)
+        self.read = {"format_version", "kind", "transcript"}
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+def _field(doc: dict, key: str, kind):
+    """``doc[key]``, read as ``kind`` (see ``_typed``)."""
     if key not in doc:
         raise ParseError(f"document is missing the field {key!r}")
-    value = doc[key]
-    want = dict if isinstance(kind, dict) else kind
+    return _typed(doc[key], kind, f"field {key!r}")
+
+
+def _typed(value, kind, label: str):
+    """``value`` read as ``kind``: a type, which it must have; a dict of
+    key -> kind, for a dict with exactly those keys; ``[kind]``, for a
+    nonempty list, read into a tuple; or a reader of a str, such as
+    ``parse_poly`` with its arity bound."""
+    if isinstance(kind, (dict, list)):
+        want = type(kind)
+    else:
+        want = kind if isinstance(kind, type) else str
     if not isinstance(value, want) or (want is int and isinstance(value, bool)):
-        raise ParseError(f"field {key!r} should be {want.__name__}, found {type(value).__name__}")
+        raise ParseError(f"{label} should be {want.__name__}, found {type(value).__name__}")
     if isinstance(kind, dict):
         if value.keys() != kind.keys():
-            raise ParseError(f"field {key!r} should have exactly the keys {', '.join(kind)}")
-        for k, k_kind in kind.items():
-            try:
-                _field(value, k, k_kind)
-            except ParseError as exc:
-                raise ParseError(f"field {key!r}: {exc}") from None
-    return value
-
-
-def _poly_field(doc: dict, key: str, arity: int) -> MultiPoly:
-    text = _field(doc, key, str)
+            raise ParseError(f"{label} should have exactly the keys {', '.join(kind)}")
+        return {k: _typed(value[k], k_kind, f"{label}[{k!r}]") for k, k_kind in kind.items()}
+    if isinstance(kind, list):
+        if not value:
+            raise ParseError(f"{label} must not be empty")
+        return tuple(_typed(item, kind[0], f"{label}[{i}]") for i, item in enumerate(value))
+    if want is kind:
+        return value
     try:
-        return parse_poly(text, arity)
+        return kind(value)
     except ParseError as exc:
-        raise ParseError(f"field {key!r}: {exc}") from None
+        raise ParseError(f"{label}: {exc}") from None
 
 
-def _parse_poly_list(values, arity: int, label: str) -> tuple[MultiPoly, ...]:
-    if not isinstance(values, list):
-        raise ParseError(f"{label} should be a list of polynomial strings")
-    if not values:
-        raise ParseError(f"{label} must not be empty")
-    out = []
-    for i, text in enumerate(values):
-        if not isinstance(text, str):
-            raise ParseError(f"{label}[{i}] should be a string")
-        try:
-            out.append(parse_poly(text, arity))
-        except ParseError as exc:
-            raise ParseError(f"{label}[{i}]: {exc}") from None
-    return tuple(out)
-
-
-def _poly_list_field(doc: dict, key: str, arity: int) -> tuple[MultiPoly, ...]:
-    return _parse_poly_list(_field(doc, key, list), arity, key)
+def _rational(text: str) -> Fraction:
+    """The rational ``text`` states, which must be written as str(Fraction) writes it."""
+    value = parse_rational(text)
+    if str(value) != text:
+        raise ParseError("not the canonical text of a rational")
+    return value
 
 
 # ------------------------------------------------------------------ builders
@@ -240,8 +252,10 @@ def stabilization_document(cert: StabilizationCertificate, l: int | None = None)
 
 # ----------------------------------------------------------------- verifiers
 #
-# A verifier parses a document's fields into a namespace ``f`` and runs the
-# kind's ordered check list over it.  An entry is (identity, predicate,
+# A verifier parses a document's fields into a namespace ``f`` and returns
+# it with the kind's ordered check list; ``verify_document`` refuses a
+# document with a top-level key the verifier did not read, and then runs
+# the list over ``f``.  An entry is (identity, predicate,
 # *premises): the predicate takes ``f`` (a kind's own predicates may also
 # read the verifier's local constants) and fails by returning False or by
 # raising a PolydegenError, and an entry fails without running when one of
@@ -278,7 +292,13 @@ def verify_document(doc: dict) -> list[dict]:
     unparseable polynomials); semantic failures come back as failed
     entries, never exceptions.
     """
-    return _VERIFIERS[document_kind(doc)](doc)
+    verifier = _VERIFIERS[document_kind(doc)]
+    fields = _Fields(doc)
+    f, checks = verifier(fields)
+    unread = fields.keys() - fields.read
+    if unread:
+        raise ParseError(f"document has the unknown field {min(unread)!r}")
+    return _run(f, checks)
 
 
 def _run(f: SimpleNamespace, checks) -> list[dict]:
@@ -320,27 +340,28 @@ _CONJUGATES = (
 )
 
 
-def _pair_fields(doc: dict, arity: int) -> SimpleNamespace:
-    """The pair (derivation, h) that every kind states, parsed in that order:
-    ``f.delta_images``, ``f.h`` and the derivation ``f.delta()``."""
-    f = SimpleNamespace(
-        delta_images=_poly_list_field(doc, "derivation", arity),
-        h=_poly_field(doc, "h", arity),
-    )
+def _pair_fields(doc: dict, poly) -> SimpleNamespace:
+    """The pair (derivation, h) that every kind states, read in that order
+    with the polynomial reader ``poly``: ``f.delta_images``, ``f.h`` and the
+    derivation ``f.delta()``.  Reads the ``l`` a document may state, too,
+    which no identity checks yet."""
+    if "l" in doc:
+        _field(doc, "l", int)
+    f = SimpleNamespace(delta_images=_field(doc, "derivation", [poly]), h=_field(doc, "h", poly))
     f.delta = cache(lambda: TriangularDerivation(f.delta_images))
     return f
 
 
-def _conjugation_fields(doc: dict, arity: int) -> SimpleNamespace:
+def _conjugation_fields(doc: dict, poly) -> SimpleNamespace:
     """The fields of a conjugation, which a family document holds too."""
-    f = _pair_fields(doc, arity)
+    f = _pair_fields(doc, poly)
     f.ring_mode = _field(doc, "ring_mode", str)
-    f.tau_images = _poly_list_field(doc, "tau", arity)
-    f.tau_inv_images = _poly_list_field(doc, "tau_inv", arity)
-    f.p = _poly_field(doc, "slice_potential", arity)
-    f.eps_images = _poly_list_field(doc, "epsilon", arity)
-    f.phi_images = _poly_list_field(doc, "automorphism", arity)
-    f.x = tuple(MultiPoly.variable(arity, i) for i in range(1, arity + 1))
+    f.tau_images = _field(doc, "tau", [poly])
+    f.tau_inv_images = _field(doc, "tau_inv", [poly])
+    f.p = _field(doc, "slice_potential", poly)
+    f.eps_images = _field(doc, "epsilon", [poly])
+    f.phi_images = _field(doc, "automorphism", [poly])
+    f.x = tuple(MultiPoly.variable(f.h.arity, i) for i in range(1, f.h.arity + 1))
     f.tau = cache(lambda: PolyEndo(f.tau_images))
     f.tau_inv = cache(lambda: PolyEndo(f.tau_inv_images))
     f.epsilon = cache(lambda: PolyEndo(f.eps_images))
@@ -348,18 +369,19 @@ def _conjugation_fields(doc: dict, arity: int) -> SimpleNamespace:
     return f
 
 
-def _verify_family(doc: dict) -> list[dict]:
+def _verify_family(doc: dict) -> tuple:
     l = _field(doc, "l", int)
     arity = _field(doc, "arity", int)
     if arity != 3:
         raise ParseError("family documents have arity 3")
-    coeffs = tuple(parse_rational(str(c)) for c in _field(doc, "coefficients", list))
-    f = _conjugation_fields(doc, arity)
-    f.g2 = _poly_field(doc, "g2", arity)
-    f.g3 = _poly_field(doc, "g3", arity)
-    f.dz_images = _poly_list_field(doc, "derivation_at_zero", arity)
-    f.h_limit = _poly_field(doc, "h_limit", arity)
-    f.fiber_images = _poly_list_field(doc, "fiber_at_zero", arity)
+    coeffs = _field(doc, "coefficients", [_rational])
+    poly = partial(parse_poly, arity=arity)
+    f = _conjugation_fields(doc, poly)
+    f.g2 = _field(doc, "g2", poly)
+    f.g3 = _field(doc, "g3", poly)
+    f.dz_images = _field(doc, "derivation_at_zero", [poly])
+    f.h_limit = _field(doc, "h_limit", poly)
+    f.fiber_images = _field(doc, "fiber_at_zero", [poly])
     f.wild = _field(doc, "wildness", {**_FLAG_KEYS, "verdict": str})
     f.delta_zero = cache(lambda: TriangularDerivation(f.dz_images))
     f.fiber = cache(lambda: PolyEndo(f.fiber_images))
@@ -374,7 +396,7 @@ def _verify_family(doc: dict) -> list[dict]:
             expected = expected + MultiPoly(arity, {(2 * i + 1, l - i, 0, -(i + 1)): coeffs[i]})
         return expected == f.g3
 
-    return _run(f, (
+    return f, (
         _RING_MODE,
         ("l is at least 1 and matches the coefficient count", lambda f: counted),
         ("coefficients start at l+1", lambda f: bool(coeffs) and coeffs[0] == l + 1),
@@ -437,12 +459,12 @@ def _verify_family(doc: dict) -> list[dict]:
             lambda f: f.wild == _wildness_fields(check_wild_at_zero(f.delta(), f.h)),
         ),
         ("wildness verdict is wild", lambda f: f.wild["verdict"] == WILD),
-    ))
+    )
 
 
-def _verify_conjugation(doc: dict) -> list[dict]:
-    f = _conjugation_fields(doc, _field(doc, "arity", int))
-    return _run(f, (
+def _verify_conjugation(doc: dict) -> tuple:
+    f = _conjugation_fields(doc, partial(parse_poly, arity=_field(doc, "arity", int)))
+    return f, (
         _RING_MODE,
         (
             "delta(x1) is a unit scalar of Q[t,t^-1]",
@@ -463,20 +485,21 @@ def _verify_conjugation(doc: dict) -> list[dict]:
         ),
         _AUTOMORPHISM_IS_EXP,
         _CONJUGATES,
-    ))
+    )
 
 
-def _verify_wildness(doc: dict) -> list[dict]:
+def _verify_wildness(doc: dict) -> tuple:
     arity = _field(doc, "arity", int)
     if arity != 3:
         raise ParseError("wildness documents have arity 3")
-    f = _pair_fields(doc, arity)
+    poly = partial(parse_poly, arity=arity)
+    f = _pair_fields(doc, poly)
     f.flags = _field(doc, "flags", _FLAG_KEYS)
     f.residues = _field(doc, "residues", _RESIDUE_KEYS)
     f.verdict = _field(doc, "verdict", str)
-    f.fiber_images = _poly_list_field(doc, "fiber_at_zero", arity)
+    f.fiber_images = _field(doc, "fiber_at_zero", [poly])
     f.report = cache(lambda: check_wild_at_zero(f.delta(), f.h))
-    return _run(f, (
+    return f, (
         (
             "derivation and h are regular at t = 0",
             lambda f: all(g.is_t_regular() for g in f.delta_images) and f.h.is_t_regular(),
@@ -500,26 +523,21 @@ def _verify_wildness(doc: dict) -> list[dict]:
             "fiber_at_zero is exp(h*delta) at t = 0",
             lambda f: PolyEndo(f.fiber_images) == f.delta().exp(f.h).specialize(0),
         ),
-    ))
+    )
 
 
-def _verify_word(doc: dict) -> list[dict]:
-    arity = _field(doc, "arity", int)
-    alpha = parse_rational(_field(doc, "alpha", str))
-    f = _pair_fields(doc, arity)
-    factor_lists = _field(doc, "factors", list)
-    factors = [
-        _parse_poly_list(lst, arity, f"factors[{j}]") for j, lst in enumerate(factor_lists)
-    ]
-    if not factors:
-        raise ParseError("a tameness word needs at least one factor")
-    kinds = _field(doc, "factor_kinds", list)
+def _verify_word(doc: dict) -> tuple:
+    poly = partial(parse_poly, arity=_field(doc, "arity", int))
+    alpha = _field(doc, "alpha", _rational)
+    f = _pair_fields(doc, poly)
+    factors = _field(doc, "factors", [[poly]])
+    kinds = _field(doc, "factor_kinds", [str])
     if len(kinds) != len(factors):
         raise ParseError("factor_kinds and factors have different lengths")
-    f.fiber_images = _poly_list_field(doc, "fiber", arity)
+    f.fiber_images = _field(doc, "fiber", [poly])
     f.fiber = cache(lambda: PolyEndo(f.fiber_images))
     f.factors = [cache(lambda imgs=imgs: PolyEndo(imgs)) for imgs in factors]
-    return _run(f, (
+    return f, (
         (
             "factors compose to the fiber",
             lambda f: PolyEndo.compose_chain([factor() for factor in f.factors]) == f.fiber(),
@@ -539,7 +557,7 @@ def _verify_word(doc: dict) -> list[dict]:
             "every factor kind certifies tameness",
             lambda f: all(kind in _TAME_KINDS for kind in kinds),
         ),
-    ))
+    )
 
 
 # compose_commutator keeps the word small only when delta kills h and the
@@ -548,16 +566,17 @@ def _verify_word(doc: dict) -> list[dict]:
 _WORD_PREMISES = ("derivation kills h", "gamma and rho invert exactly")
 
 
-def _verify_stabilization(doc: dict) -> list[dict]:
+def _verify_stabilization(doc: dict) -> tuple:
     arity = _field(doc, "arity", int)
     m = _field(doc, "extended_arity", int)
     if m != arity + 1:
         raise ParseError("extended_arity must be arity + 1")
-    f = _pair_fields(doc, arity)
-    f.base_images = _poly_list_field(doc, "base", arity)
-    f.ext_images = _poly_list_field(doc, "extension", m)
-    f.gamma_images = _poly_list_field(doc, "gamma", m)
-    f.rho_images = _poly_list_field(doc, "rho", m)
+    poly, extended = partial(parse_poly, arity=arity), partial(parse_poly, arity=m)
+    f = _pair_fields(doc, poly)
+    f.base_images = _field(doc, "base", [poly])
+    f.ext_images = _field(doc, "extension", [extended])
+    f.gamma_images = _field(doc, "gamma", [extended])
+    f.rho_images = _field(doc, "rho", [extended])
     f.factor_count = _field(doc, "factor_count", int)
     f.bounds = _field(doc, "length_bounds", {k: type(v) for k, v in _LENGTH_BOUNDS.items()})
     f.base = cache(lambda: PolyEndo(f.base_images))
@@ -613,7 +632,7 @@ def _verify_stabilization(doc: dict) -> list[dict]:
         ("factor_count is 4", lambda f: f.factor_count == 4),
         ("stated length bounds are (3, 4)", lambda f: f.bounds == _LENGTH_BOUNDS),
     ]
-    return _run(f, checks)
+    return f, checks
 
 
 _VERIFIERS = {

@@ -52,7 +52,7 @@ def test_wildness_residues_are_recorded(families):
 def test_third_flag_isolated_by_control_derivation():
     # delta = (t, x1, x1*x2) has d(f3)/dx2 = x1 = f2 at t = 0, so the
     # ideal-membership condition fails while the other two flags hold
-    delta = make_delta("t", "x1", "x1*x2")
+    delta = make_delta("(t)", "x1", "x1*x2")
     h = parse_poly("x2^2 - 2*x3", arity=3)
     assert delta.apply(h).is_zero()
     report = check_wild_at_zero(delta, h)
@@ -61,16 +61,16 @@ def test_third_flag_isolated_by_control_derivation():
 
 
 def test_second_flag_false_when_h_collapses_to_x1():
-    delta = make_delta("t", "x1", "-2*x2")
+    delta = make_delta("(t)", "x1", "-2*x2")
     g2 = delta.sigma(parse_poly("x2", arity=3))
-    h = (g2 * parse_poly("t", arity=3)) ** 2
+    h = (g2 * parse_poly("(t)", arity=3)) ** 2
     report = check_wild_at_zero(delta, h)
     assert report.flags[1] is False
     assert report.verdict == TAME
 
 
 def test_first_flag_false_when_f2_vanishes():
-    delta = make_delta("t", "t*x1", "x2")
+    delta = make_delta("(t)", "(t)*x1", "x2")
     h = parse_poly("0", arity=3)
     report = check_wild_at_zero(delta, h)
     assert report.flags[0] is False
@@ -87,9 +87,9 @@ def test_wildness_hypotheses_are_checked(families):
     # everything must be regular at t = 0; g2^2*t has valuation -1
     with pytest.raises(HypothesisViolation):
         g2 = fam.tau.images[1]
-        check_wild_at_zero(fam.delta, g2 * g2 * parse_poly("t", arity=3))
+        check_wild_at_zero(fam.delta, g2 * g2 * parse_poly("(t)", arity=3))
     two_var = TriangularDerivation(
-        (parse_poly("t", arity=2), parse_poly("x1", arity=2))
+        (parse_poly("(t)", arity=2), parse_poly("x1", arity=2))
     )
     with pytest.raises(HypothesisViolation):
         check_wild_at_zero(two_var, parse_poly("0", arity=2))
@@ -122,13 +122,13 @@ def test_build_conjugation_matches_family(families):
 
 
 def test_build_conjugation_needs_unit_f1():
-    delta = make_delta("t + 1", "x1", "x2")
+    delta = make_delta("(1 + t)", "x1", "x2")
     with pytest.raises(NonUnit):
         build_conjugation(delta, parse_poly("0", arity=3))
 
 
 def test_build_conjugation_generic_kernel_potential():
-    delta = make_delta("t", "x1", "x1*x2")
+    delta = make_delta("(t)", "x1", "x1*x2")
     h = parse_poly("x2^2 - 2*x3", arity=3)
     cert = build_conjugation(delta, h)
     assert cert.automorphism == delta.exp(h)
@@ -146,12 +146,12 @@ def test_builders_leave_the_kernel_check_to_exp(families):
 
 
 def test_factor_kind_classification():
-    tri = PolyEndo(tuple(parse_poly(s, arity=3) for s in ("2*x1", "x2 + x1^2", "x3")))
+    tri = PolyEndo(tuple(parse_poly(s, arity=3) for s in ("2*x1", "x1^2 + x2", "x3")))
     assert factor_kind(tri, RingMode.LAURENT) == "triangular"
-    shift = PolyEndo(tuple(parse_poly(s, arity=3) for s in ("x1 + x2*x3", "x2", "x3")))
+    shift = PolyEndo(tuple(parse_poly(s, arity=3) for s in ("x2*x3 + x1", "x2", "x3")))
     assert factor_kind(shift, RingMode.LAURENT) == "triangular-after-reordering"
     opaque = PolyEndo(
-        tuple(parse_poly(s, arity=3) for s in ("x1 + x2^2", "x2 + x1^2", "x3"))
+        tuple(parse_poly(s, arity=3) for s in ("x2^2 + x1", "x1^2 + x2", "x3"))
     )
     assert factor_kind(opaque, RingMode.LAURENT) == "opaque"
 

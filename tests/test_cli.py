@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from conftest import family
+from polydegen import parse_poly
 from polydegen.cli import main
 from polydegen.documents import conjugation_document, dumps
 
@@ -181,7 +182,8 @@ def test_verify_fails_fast_on_a_perturbed_stabilization_derivation(tmp_path, cap
     # the word is not composed once "derivation kills h" or "gamma and rho
     # invert exactly" has failed, since without them it swells
     doc = json.loads(run(["smith", "--l", "2"], capsys)[1])
-    doc["derivation"][index] += " + 1"
+    # the canonical text of the image plus 1, so that the document reads
+    doc["derivation"][index] = str(parse_poly(doc["derivation"][index], 3) + 1)
     bad = tmp_path / "perturbed.json"
     bad.write_text(json.dumps(doc))
     start = time.perf_counter()
@@ -348,8 +350,17 @@ def test_verify_rejects_an_exponent_beyond_the_bound(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "h",
-    ["1/0*x1", f"({'9' * 4000}*{'9' * 4000}*x1)^-1", "7^20000000*x1", "(" * 5000 + "x1" + ")" * 5000],
-    ids=["zero denominator", "huge coefficient in the message", "huge scalar power", "deep nesting"],
+    [
+        "1/0*x1",
+        f"({'9' * 4000}*{'9' * 4000}*x1)^-1",
+        "7^20000000*x1",
+        "(" * 5000 + "x1" + ")" * 5000,
+        "(7 + t)^2000*x1",
+    ],
+    ids=[
+        "zero denominator", "huge coefficient in the message", "huge scalar power", "deep nesting",
+        "power of a sum",
+    ],
 )
 def test_verify_rejects_hostile_numbers_without_a_traceback(tmp_path, capsys, h):
     doc = json.loads(run(["specialize", "--l", "1", "--alpha", "2"], capsys)[1])
@@ -361,6 +372,62 @@ def test_verify_rejects_hostile_numbers_without_a_traceback(tmp_path, capsys, h)
     assert code == 2
     assert time.perf_counter() - start < 1.0
     assert err.startswith("error: ") and len(err) < 300
+
+
+def _verify_edited(tmp_path, capsys, argv, edit):
+    """verify's exit code and stderr on the document of ``argv`` after ``edit``."""
+    doc = json.loads(run(argv, capsys)[1])
+    edit(doc)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(["verify", "--in", str(path)], capsys)
+    return code, err
+
+
+def _set(field, value, index=None):
+    def edit(doc):
+        if index is None:
+            doc[field] = value(doc[field]) if callable(value) else value
+        else:
+            doc[field][index] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "argv, edit, field",
+    [
+        (["smith", "--l", "1"], _set("derivation", "t", 0), "'derivation'[0]"),
+        (["smith", "--l", "1"], _set("derivation", "(t^1)", 0), "'derivation'[0]"),
+        (["smith", "--l", "1"], _set("derivation", "(x1)", 1), "'derivation'[1]"),
+        (["smith", "--l", "1"], _set("derivation", "1*x1", 1), "'derivation'[1]"),
+        (["smith", "--l", "1"], _set("h", lambda h: f"(7 + t)^0*({h})"), "'h'"),
+        (["smith", "--l", "1"], _set("comment", "anything"), "'comment'"),
+        (["family", "--l", "1"], _set("coefficients", 2, 0), "'coefficients'[0]"),
+        (["specialize", "--l", "1", "--alpha=5/3"], _set("alpha", "10/6"), "'alpha'"),
+    ],
+    ids=[
+        "bare t", "t^1", "parenthesised x1", "1*x1", "power 0", "extra key",
+        "coefficient as a number", "alpha out of lowest terms",
+    ],
+)
+def test_an_edit_that_keeps_the_values_exits_two_and_names_its_field(
+    tmp_path, capsys, argv, edit, field
+):
+    code, err = _verify_edited(tmp_path, capsys, argv, edit)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert field in err
+
+
+def test_a_polynomial_coefficient_out_of_lowest_terms_reads_at_its_value(tmp_path, capsys):
+    # -8/3 written as -16/6 keeps the value and verifies; -16/7 does not
+    argv = ["smith", "--l", "1"]
+    for text, expected in (("-16/6", 0), ("-16/7", 1)):
+        code, _ = _verify_edited(
+            tmp_path, capsys, argv, _set("h", lambda h, text=text: h.replace("-8/3", text))
+        )
+        assert code == expected, text
 
 
 def test_exponent_overflow_in_a_computation_exits_one(capsys):

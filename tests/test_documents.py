@@ -2,12 +2,15 @@
 
 import copy
 import json
+import os
+import re
 from fractions import Fraction
 
 import pytest
 
 from conftest import family
 from polydegen import parse_poly
+from polydegen.cli import build_parser, cmd_verify
 from polydegen.certificates import (
     ConjugationCertificate,
     build_stabilization,
@@ -129,6 +132,8 @@ def _get_path(doc, path):
 
 
 def _mutate(value):
+    """The value plus one, written as the document writes it, so that the
+    edited document still reads and only its identities can catch it."""
     if isinstance(value, bool):
         return not value
     if isinstance(value, int):
@@ -137,6 +142,10 @@ def _mutate(value):
         try:
             return str(Fraction(value) + 1)
         except ValueError:
+            pass
+        try:
+            return str(parse_poly(value) + 1)
+        except ParseError:
             return value + " + 1"
     raise TypeError(f"no mutation for {value!r}")
 
@@ -278,7 +287,7 @@ def test_wildness_document_for_tame_control_is_consistent():
     from polydegen.derivation import TriangularDerivation
 
     delta = TriangularDerivation(
-        tuple(parse_poly(s, arity=3) for s in ("t", "x1", "x1*x2"))
+        tuple(parse_poly(s, arity=3) for s in ("(t)", "x1", "x1*x2"))
     )
     h = parse_poly("x2^2 - 2*x3", arity=3)
     doc = wildness_document(delta, h)
@@ -298,3 +307,184 @@ def test_render_text(docs):
 def test_transcript_is_json_stable(docs):
     for doc in docs.values():
         assert json.loads(dumps(doc)) == doc
+
+
+# ------------------------------------------------------ every edit is caught
+#
+# Every leaf of every kind's l = 1 document is edited in each way below, and
+# every key and list item deleted and one added at each level.  Each edited
+# document must be unreadable (ParseError) or fail or mismatch its
+# transcript, as `verify` reports it, with the allowed cases below aside.
+
+_RATIONAL_FIELDS = ("alpha", "coefficients")
+# a coefficient digit run: not an exponent, not a variable index
+_COEFFICIENT = re.compile(r"(?<![\dx^/])(?<!\^-)(\d+)(?:/(\d+))?")
+# a space before a top-level ' + ' or ' - ', not one inside parentheses
+_GROUP_BREAK = re.compile(r" (?=[+-] )(?![^(]*\))")
+
+
+def _out_of_lowest_terms(text):
+    """text with its first coefficient n/d written as 2n/2d."""
+    m = _COEFFICIENT.search(text)
+    if m is None:
+        return None
+    num, den = int(m[1]), int(m[2] or 1)
+    return f"{text[:m.start()]}{2 * num}/{2 * den}{text[m.end():]}"
+
+
+def _swapped_groups(text):
+    """text with its first two groups swapped, or None with one group."""
+    groups = _GROUP_BREAK.split(text)
+    if len(groups) < 2:
+        return None
+    first, second = groups[0], groups[1]
+    first = f"- {first[1:]}" if first.startswith("-") else f"+ {first}"
+    second = second[2:] if second.startswith("+") else f"-{second[2:]}"
+    return " ".join([second, first, *groups[2:]])
+
+
+def _text_rewrites(text):
+    """Texts that read to the polynomial ``text`` states, written otherwise."""
+    rewrites = {
+        "parenthesised": f"({text})",
+        "leading space": f" {text}",
+        "trailing space": f"{text} ",
+        "plus zero": f"{text} + 0",
+        "times a power 0": f"(7 + t)^0*({text})",
+        "groups swapped": _swapped_groups(text),
+        "bare t": re.sub(r"\((-?)t\)", r"\1t", text, count=1),
+        "t^1": re.sub(r"t(?!\^)", "t^1", text, count=1),
+        "x^1": re.sub(r"(x\d+)(?![\d^])", r"\1^1", text, count=1),
+        "1*": re.sub(r"(^|[ (-])(x\d|t)", r"\g<1>1*\2", text, count=1),
+        "wide separator": text.replace(" + ", "  + ", 1),
+    }
+    return {name: new for name, new in rewrites.items() if new is not None and new != text}
+
+
+def _leaf_edits(path, leaf):
+    """(edit name, new value) for one leaf of a document."""
+    yield "null", None
+    if isinstance(leaf, bool):
+        yield "flipped", not leaf
+        yield "as int", int(leaf)
+        return
+    if isinstance(leaf, int):
+        yield "plus one", leaf + 1
+        yield "as float", float(leaf)
+        yield "as str", str(leaf)
+        yield "as bool", bool(leaf)
+        return
+    yield "as list", [leaf]
+    if path[0] in _RATIONAL_FIELDS:
+        value = Fraction(leaf)
+        yield "plus one", str(value + 1)
+        yield "as number", int(value) if value.denominator == 1 else float(value)
+        for name, new in (("leading plus", f"+{leaf}"), ("leading space", f" {leaf}"),
+                          ("out of lowest terms", f"{2 * value.numerator}/{2 * value.denominator}"),
+                          ("leading zero", f"0{leaf}" if leaf[0] != "-" else f"-0{leaf[1:]}")):
+            yield name, new
+        return
+    try:
+        poly = parse_poly(leaf)
+    except ParseError:
+        yield "changed", leaf + "x"
+        yield "leading space", f" {leaf}"
+        return
+    yield "plus one", str(poly + 1)
+    yield "as int", 0
+    yield from _text_rewrites(leaf).items()
+    lowered = _out_of_lowest_terms(leaf)
+    if lowered is not None:
+        yield "coefficient out of lowest terms", lowered
+
+
+def _walk(value, path=()):
+    """(path, value) for every value below ``value``, itself included."""
+    yield path, value
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _walk(item, (*path, key))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _walk(item, (*path, i))
+
+
+def _copied_along(doc, path):
+    """A copy of ``doc`` in which the containers on ``path``, and the one at
+    its end, are copies, and that last copy."""
+    edited = target = copy.copy(doc)
+    for key in path:
+        target[key] = copy.copy(target[key])
+        target = target[key]
+    return edited, target
+
+
+def _edits(doc):
+    """(path, edit name, edited copy) for every edit of ``doc``."""
+    for path, value in _walk(doc):
+        if isinstance(value, (dict, list)):
+            for key in value if isinstance(value, dict) else range(len(value)):
+                edited, target = _copied_along(doc, path)
+                del target[key]
+                yield (*path, key), "deleted", edited
+            edited, target = _copied_along(doc, path)
+            if isinstance(value, dict):
+                target["extra"] = "x1"
+            else:
+                target.append(value[-1])
+            yield path, "added", edited
+        else:
+            for name, new in _leaf_edits(path, value):
+                edited, target = _copied_along(doc, path[:-1])
+                target[path[-1]] = new
+                yield path, name, edited
+
+
+def _verify_exit(doc, args):
+    """The exit code of ``verify`` on the document, written to ``args.input``.
+
+    ``args`` is parsed once: building the parser for every edit would take
+    half of the test's time.
+    """
+    with open(args.input, "w", encoding="utf-8") as handle:
+        handle.write(json.dumps(doc))
+    try:
+        return cmd_verify(args)
+    except ParseError:
+        return 2
+
+
+# (kind or None for any, top-level field or None for any, edit or None for
+# any) -> why that edit may leave a document verified
+ALLOWED_EDITS = {
+    ("wildness", "l", None): "no identity reads the l a specialized document states yet",
+    ("tameness_word", "l", None): "no identity reads the l a specialized document states yet",
+    ("stabilization", "l", None): "no identity reads the l a stabilization document states yet",
+    (None, None, "coefficient out of lowest terms"): "a polynomial coefficient reads at its "
+    "value; refusing it would change how the benchmark's tampered copies read",
+}
+
+
+def _allowed(kind, path, name):
+    field = path[0] if path else None
+    return any(
+        (k is None or k == kind) and (f is None or f == field) and (e is None or e == name)
+        for k, f, e in ALLOWED_EDITS
+    )
+
+
+def test_every_edit_of_every_document_is_caught(docs, tmp_path):
+    args = build_parser().parse_args(
+        ["verify", "--in", str(tmp_path / "edited.json"), "--out", os.devnull]
+    )
+    missed, allowed = [], 0
+    for kind, doc in docs.items():
+        for path, name, edited in _edits(doc):
+            if _verify_exit(edited, args) == 0:
+                if _allowed(kind, path, name):
+                    allowed += 1
+                else:
+                    missed.append(f"{kind}: {name} at {path}")
+    assert not missed, missed
+    # the allowed edits still verify: the list above is not stale
+    assert allowed

@@ -1,10 +1,10 @@
-"""Text grammar for rationals, Laurent polynomials, and polynomials.
+"""The text forms: rationals, and polynomials read as their canonical text.
 
-The round trip runs hypothesis derandomized, so every run draws the same
-examples.
+``parse_poly`` reads only what ``str(MultiPoly)`` writes.  The round trip
+runs hypothesis derandomized, so every run draws the same examples; each
+rule of the canonical form then has texts that break it.
 """
 
-import sys
 import time
 from fractions import Fraction
 
@@ -34,27 +34,25 @@ def test_parse_poly_basics():
 
 def test_arity_inference():
     assert parse_poly("x2*x4").arity == 4
-    assert parse_poly("t + 1").arity == 1
+    assert parse_poly("(1 + t)").arity == 1
     assert parse_poly("x1", arity=5).arity == 5
 
 
 def test_parentheses_and_signs():
-    assert parse_poly("(x1 + 1)*(x1 - 1)", arity=1) == parse_poly("x1^2 - 1", arity=1)
-    assert parse_poly("-(x1 - 1)", arity=1) == parse_poly("1 - x1", arity=1)
-    assert parse_poly("+x1", arity=1) == parse_poly("x1", arity=1)
-    assert parse_poly("(t + 1)^3", arity=1) == parse_poly(
-        "t^3 + 3*t^2 + 3*t + 1", arity=1
-    )
+    x1, x2, t = MultiPoly.variable(2, 1), MultiPoly.variable(2, 2), MultiPoly.parameter(2)
+    # a group is parenthesised exactly when its coefficient is not a
+    # rational, and it carries its own signs after a ' + '
+    assert parse_poly("(-1 - t)*x1 - x2 + (1 - t)") == -(1 + t) * x1 - x2 + 1 - t
+    assert parse_poly("-1/2*x1 + 3", arity=2) == 3 - x1 / 2
 
 
 def test_negative_exponents():
-    assert parse_poly("t^-2", arity=1) == parse_poly("(t^-1)^2", arity=1)
-    assert parse_poly("(2*t)^-1", arity=1) == parse_poly("1/2*t^-1", arity=1)
-    # only constant units may carry negative exponents
-    with pytest.raises(ParseError):
-        parse_poly("x1^-1")
-    with pytest.raises(ParseError):
-        parse_poly("(t + 1)^-1")
+    t = MultiPoly.parameter(1)
+    assert parse_poly("(-1/2*t^-12 + t^-1)", arity=1) == t**-1 - t**-12 / 2
+    # only t carries a negative exponent
+    for bad in ("x1^-1", "(1 + t)^-1", "(t)^-1"):
+        with pytest.raises(ParseError, match="at position"):
+            parse_poly(bad)
 
 
 def test_implicit_multiplication_is_rejected():
@@ -64,16 +62,12 @@ def test_implicit_multiplication_is_rejected():
 
 
 def test_malformed_inputs():
-    for bad in ("", "x1 +", "* x1", "x0", "x", "(x1", "x1)", "x1^", "x1^x2", "1//2", "1/0*x1"):
-        with pytest.raises(ParseError):
+    for bad in ("", "x1 +", "* x1", "x", "(x1", "x1)", "x1^", "x1^x2", "1//2", "x1 $ x2"):
+        with pytest.raises(ParseError, match="at position"):
             parse_poly(bad, arity=3)
-    # without an arity, a stray character is an error before any variable
-    # sizes the keys
-    for bad in ("x1 $ x99999999999", "x99999999999 + 1;"):
-        with pytest.raises(ParseError, match="unexpected character"):
-            parse_poly(bad)
     # a given or inferred arity is bounded before it sizes the keys
-    for text, arity in (("x2345678901234567890", None), ("x1", 0), ("x1", 65)):
+    for text, arity in (("x2345678901234567890", None), ("x1", 0), ("x1", 65),
+                        ("x1 $ x99999999999", None)):
         with pytest.raises(ParseError, match="outside 1..64"):
             parse_poly(text, arity)
     assert parse_poly("x64") == MultiPoly.variable(64, 64)
@@ -85,19 +79,19 @@ def test_arity_too_small():
 
 
 def test_deep_nesting_is_a_parse_error():
-    assert parse_poly("(" * 100 + "x1" + ")" * 100) == MultiPoly.variable(1, 1)
-    with pytest.raises(ParseError, match="nested too deeply"):
-        parse_poly("(" * 5000 + "x1" + ")" * 5000)
-
-
-def test_whitespace_is_flexible():
-    assert parse_poly("x1+x2", arity=2) == parse_poly(" x1  +  x2 ", arity=2)
+    # no parenthesis nests in canonical text, so depth costs nothing
+    for depth in (2, 100, 5000):
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="at position"):
+            parse_poly("(" * depth + "x1" + ")" * depth)
+        assert time.perf_counter() - start < 1.0
 
 
 def test_overlong_digit_strings_are_parse_errors():
     # longer than Python converts from text by default (4300 digits)
     digits = "9" * 5000
-    for text in (f"x1^{digits}", f"{digits}*x1", f"x{digits}", f"1/{digits}"):
+    for text in (f"x1^{digits}", f"{digits}*x1", f"x{digits}", f"1/{digits}", f"({digits}*t)",
+                 f"(t^{digits})"):
         with pytest.raises(ParseError, match="number too long"):
             parse_poly(text)
     with pytest.raises(ParseError, match="number too long"):
@@ -133,51 +127,64 @@ def test_canonical_text_round_trips(p):
     assert inferred.extend_arity(p.arity) == p
 
 
-def _non_canonical():
-    x1, x2, x3 = (MultiPoly.variable(3, i) for i in (1, 2, 3))
-    t = MultiPoly.parameter(3)
-    half_t_inv = MultiPoly(3, {(0, 0, 0, -1): Fraction(1, 2)})
-    return [
-        ("((x1 + (t)))*((2))", (x1 + t) * 2),
-        ("(x1+x2)^3", (x1 + x2) ** 3),
-        ("-(x1 - 2*x2)", -(x1 - 2 * x2)),
-        ("((2*t)^-1)^2", half_t_inv**2),
-        ("x1*x1^2", x1**3),
-        ("x2*x1*t*x1*3/4*x2^0", x1**2 * x2 * t * Fraction(3, 4)),
-        ("2/4*x1 + x1 - 3/2*x1", MultiPoly.zero(3)),
-        ("3*(x1 + 1)*x2*(x1 - 1)^2*t^-1", 3 * (x1 + 1) * x2 * (x1 - 1) ** 2 * half_t_inv * 2),
-        ("(t^-1*x1)^2*(x1 + t) - x1^3*t^-2", x1**2 * t**-1),
-        ("(x1 - x1)^0 + (x2 - x2)*x3", MultiPoly.one(3)),
-        ("(-34/5*t)*x1^4 + (t^-1 + 3*t^2)*x3", Fraction(-34, 5) * t * x1**4 + (t**-1 + 3 * t**2) * x3),
-        (" x1 *  x2 ^ 2 -  3/4 * t ^ - 1 ", x1 * x2**2 - Fraction(3, 4) * t**-1),
-        ("\t-\n(x3)\n", -x3),
-    ]
+# Each rule of the canonical form, with texts that break it.
+RULES = {
+    "groups in descending graded-lex order": (
+        "x2 + x1", "x1 + x1", "1 + x1", "x1 + x1^2", "x2^2 + x1*x2", "x2 + (t)*x1",
+    ),
+    "powers of t ascending in a group": ("(t + 1)", "(t + t)", "(t^2 + t)*x1", "(1 + t^-1)"),
+    "parentheses exactly where str writes them": (
+        "(x1)", "(3)", "(-3)*x1", "((t))", "t", "t*x1", "3*t", "(t)*(x1)", "(7 + t)^2000*x1",
+    ),
+    "separators ' + ' and ' - ' and a leading '-' only": (
+        "x1+x2", "x1  + x2", "x1 +x2", " x1", "x1 ", "+x1", "x1 + -x2", "-(t)", "x1 - (t)",
+        "(- t)", "( t)", "(1 +t)", "x1 - -1",
+    ),
+    "no 1*, no ^1, no zero coefficient, and 0 only alone": (
+        "1*x1", "-1*x1", "(1*t)", "x1^1", "(t^1)", "0*x1", "x1 + 0", "-0", "(0 + t)", "00",
+        "0/1", "(t^0)", "x1^0",
+    ),
+    "no leading zero and no denominator 1": ("01*x1", "x01", "x1^02", "3/1", "3/01", "(t^-01)"),
+    "variables in ascending order, in range and within the bound": (
+        "x2*x1", "x1*x1", "x4", "x0", "x1^2147483648", "x1*x2^99999999999",
+    ),
+}
 
 
-NON_CANONICAL = _non_canonical()
+@pytest.mark.parametrize("texts", RULES.values(), ids=RULES.keys())
+def test_each_rule_of_the_canonical_form_is_enforced(texts):
+    for text in texts:
+        with pytest.raises(ParseError, match="at position") as exc:
+            parse_poly(text, arity=3)
+        assert len(str(exc.value)) < 200, text
 
 
-@pytest.mark.parametrize(("text", "expected"), NON_CANONICAL, ids=[t for t, _ in NON_CANONICAL])
-def test_non_canonical_input_matches_arithmetic(text, expected):
-    assert parse_poly(text, arity=3) == expected
+def test_the_exponent_bound_is_named():
+    top = 2**31 - 1
+    assert parse_poly(f"x1^{top}") == MultiPoly(1, {(top, 0): 1})
+    for text in (f"x1^{top + 1}", "x1^99999999999"):
+        with pytest.raises(ParseError, match=f"above the bound {top}"):
+            parse_poly(text)
 
 
-# A variable power written without spaces is one token; each result and
-# error message below was measured before it was, when 'x1^2' was two.
+# The variable powers the general grammar was measured on: the canonical
+# ones ('x1^2', 'x3^2') read as before, and each other text now fails with
+# the position where it leaves the canonical form.
 VARIABLE_POWERS = [
     ("x1^2", None, "x1^2"),
-    ("x1 ^ 2", None, "x1^2"),
-    ("x1^-1", None, "negative power of a non-unit: (x1)^-1"),
-    ("x1^2/3", None, "exponent must be an integer, found '2/3'"),
-    ("x1^23/4", None, "exponent must be an integer, found '23/4'"),
-    ("x1^007", None, "x1^7"),
-    ("x1^2147483647*x1", None, "a product has a variable exponent above 2147483647"),
-    ("x1^2147483648", None, "a power has a variable exponent above the bound 2147483647"),
-    ("x2^0*x1", None, "x1"),
-    ("x99^2", 3, "variable x99 out of range for arity 3"),
+    ("x1 ^ 2", None, "not canonical text at position 2: ' ^ 2'"),
+    ("x1^-1", None, "not canonical text at position 2: '^-1'"),
+    ("x1^2/3", None, "not canonical text at position 4: '/3'"),
+    ("x1^23/4", None, "not canonical text at position 5: '/4'"),
+    ("x1^007", None, "not canonical text at position 2: '^007'"),
+    ("x1^2147483647*x1", None, "variables out of order at position 0: 'x1^2147483647*x1'"),
+    ("x1^2147483648", None,
+     "exponent 2147483648 is above the bound 2147483647 at position 0: 'x1^2147483648'"),
+    ("x2^0*x1", None, "not canonical text at position 2: '^0*x1'"),
+    ("x99^2", 3, "variable x99 out of range for arity 3 at position 0: 'x99^2'"),
     ("x3^2", None, "x3^2"),
-    ("x1^2^3", None, "trailing input from token '^3'"),
-    ("x1^2x2", None, "trailing input from token 'x2'"),
+    ("x1^2^3", None, "not canonical text at position 4: '^3'"),
+    ("x1^2x2", None, "not canonical text at position 4: 'x2'"),
 ]
 
 
@@ -193,39 +200,19 @@ def test_variable_powers_read_as_before(text, arity, expected):
         assert parse_poly(text).arity == 3
 
 
-def test_a_zero_factor_stops_the_overflow_check():
-    # as in the kernel, a product with a zero operand is zero and checks nothing
-    top = "x1^2147483647"
-    assert parse_poly(f"0*{top}*{top}").is_zero()
-    assert parse_poly("(0*x1)^3000000000 + (x1 - x1)^0") == parse_poly("1")
-    with pytest.raises(ParseError, match="above"):
-        parse_poly(f"{top}*{top}*0")
-
-
-def test_scalar_powers_stop_at_the_digit_limit():
-    limit = sys.get_int_max_str_digits()
-    # 2^largest has at most `limit` digits, 2^(largest + 1) more
-    largest = (10**limit).bit_length() - 1
-    assert parse_poly(f"2^{largest}*x1") == MultiPoly(1, {(1, 0): 2**largest})
-    assert parse_poly(f"(1/2*t)^-{largest}") == parse_poly(f"2^{largest}*t^-{largest}")
-    for text in (f"2^{largest + 1}*x1", f"(1/2)^{largest + 1}", f"(2*t)^-{largest + 1}",
-                 f"(2*x1)^{largest + 1}"):
-        with pytest.raises(ParseError, match="digits"):
-            parse_poly(text)
-    start = time.perf_counter()
-    with pytest.raises(ParseError, match="digits"):
-        parse_poly("7^20000000*x1")
-    assert time.perf_counter() - start < 1.0
-    # units stay cheap at any exponent
-    assert parse_poly("(-1)^99999999999*t^99999999999") == -MultiPoly.parameter(1) ** 99999999999
+def test_a_coefficient_out_of_lowest_terms_reads_at_its_value():
+    x1, t = MultiPoly.variable(1, 1), MultiPoly.parameter(1)
+    assert parse_poly("2/4*x1 + (6/3*t^-1)") == x1 / 2 + 2 * t**-1
+    assert parse_poly("3/3*x1") == x1
 
 
 def test_error_messages_stay_short():
     digits = "9" * 4000
     for text in (f"({digits}*{digits}*x1)^-1", f"({digits}*x1 + {digits}*x2)^-1",
-                 f"x1 {digits}", f"(x1 {digits})", f"x1^{digits}/3"):
+                 f"x1 {digits}", f"(x1 {digits})", f"x1^{digits}/3", f"x1^{digits}",
+                 f"x{digits}"):
         with pytest.raises(ParseError) as exc:
-            parse_poly(text)
+            parse_poly(text, arity=3)
         assert len(str(exc.value)) < 200
-    with pytest.raises(ParseError, match="zero denominator"):
+    with pytest.raises(ParseError, match="at position"):
         parse_poly("1/0*x1")
