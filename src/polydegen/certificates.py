@@ -145,7 +145,7 @@ TRIANGULAR = "triangular"
 REORDERED = "triangular-after-reordering"
 OPAQUE = "opaque"
 
-_TAME_KINDS = (TRIANGULAR, REORDERED)
+TAME_KINDS = (TRIANGULAR, REORDERED)
 
 
 def factor_kind(factor: PolyEndo, mode: RingMode) -> str:

@@ -10,6 +10,10 @@ Four subcommands, all emitting self-verifying JSON documents:
 
 Exit codes: 0 every identity verified, 1 a verification failed, 2 usage or
 parse errors.
+
+This module keeps arguments and bytes: it parses the command line, builds
+and writes payloads, and maps errors to exit codes.  Reading a document,
+and checking one, is left to ``documents``.
 """
 
 from __future__ import annotations
@@ -17,24 +21,22 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-from functools import partial
 
 from .certificates import build_conjugation, build_stabilization, specialized_tameness
 from .documents import (
-    _field,
-    document_kind,
     dumps,
     family_document,
-    loads,
+    family_l,
+    read_document,
     render_text,
     stabilization_document,
-    verify_document,
+    verify_report,
     wildness_document,
     word_document,
 )
 from .errors import ParseError, PolydegenError
 from .family import build_family
-from .parsing import parse_poly, parse_rational
+from .parsing import parse_rational
 
 
 def _positive_int(text: str) -> int:
@@ -110,41 +112,17 @@ def _write(payload: str, out: str | None) -> None:
         sys.stdout.write(payload)
 
 
-def _read_document(path: str) -> dict:
-    with open(path, "rb") as handle:
-        data = handle.read()
-    try:
-        return loads(data.decode("utf-8"))
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
-
-
 def cmd_family(args: argparse.Namespace) -> int:
     _emit(family_document(args.l, build_conjugation(*build_family(args.l))), args)
     return 0
 
 
-def _l_for(args: argparse.Namespace) -> int:
+def cmd_specialize(args: argparse.Namespace) -> int:
     if args.input is not None and args.l is not None:
         raise ParseError("give either --l or --in, not both")
-    if args.input is not None:
-        doc = _read_document(args.input)
-        if document_kind(doc) != "family":
-            raise ParseError("--in expects a family document")
-        l = _field(doc, "l", int)
-        # an honest family document's h has 2l + 3 terms, so this bounds
-        # the rebuild by the document's size
-        terms = _field(doc, "h", partial(parse_poly, arity=3)).term_count()
-        if not 1 <= l <= terms:
-            raise ParseError(f"family document's l is outside 1..{terms}, the term count of its h")
-        return l
-    if args.l is None:
+    if args.input is None and args.l is None:
         raise ParseError("specialize needs --l or --in")
-    return args.l
-
-
-def cmd_specialize(args: argparse.Namespace) -> int:
-    l = _l_for(args)
+    l = args.l if args.input is None else family_l(read_document(args.input))
     delta, h = build_family(l)
     if args.alpha == 0:
         doc = wildness_document(delta, h, l=l)
@@ -161,29 +139,7 @@ def cmd_smith(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    doc = _read_document(args.input)
-    embedded = _field(doc, "transcript", [{"identity": str, "pass": bool}])
-    recomputed = verify_document(doc)
-    matches = list(embedded) == recomputed
-    verified = matches and all(entry["pass"] for entry in recomputed)
-    if args.format == "json":
-        payload = dumps(
-            {
-                "verified": verified,
-                "transcript_matches": matches,
-                "checks": recomputed,
-            }
-        )
-    else:
-        lines = [
-            f"{'pass' if entry['pass'] else 'FAIL'}  {entry['identity']}" for entry in recomputed
-        ]
-        lines.append(f"transcript match: {'yes' if matches else 'NO'}")
-        good = sum(1 for entry in recomputed if entry["pass"])
-        lines.append(
-            f"result: {'pass' if verified else 'FAIL'} ({good}/{len(recomputed)} identities)"
-        )
-        payload = "\n".join(lines) + "\n"
+    payload, verified = verify_report(read_document(args.input), args.format)
     _write(payload, args.out)
     return 0 if verified else 1
 

@@ -18,6 +18,10 @@ keep a document verified: the ``l`` that a document of any kind but
 family may state, which no identity checks yet, and a polynomial
 coefficient rewritten out of lowest terms, which reads at its value.
 
+This module is the only reader of documents: ``read_document`` reads a
+file, ``verify_report`` writes what ``verify`` prints, and ``family_l``
+reads the family member that ``specialize --in`` rebuilds.
+
 Document kinds: family, conjugation, wildness, tameness_word,
 stabilization.
 """
@@ -32,13 +36,13 @@ from types import SimpleNamespace
 from .certificates import (
     ConjugationCertificate,
     StabilizationCertificate,
+    TAME_KINDS,
     TamenessWord,
     WILD,
     WildnessReport,
     check_wild_at_zero,
     compose_commutator,
     factor_kind,
-    _TAME_KINDS,
 )
 from .derivation import TriangularDerivation
 from .endo import Images, PolyEndo
@@ -555,7 +559,7 @@ def _verify_word(doc: dict) -> tuple:
         ),
         (
             "every factor kind certifies tameness",
-            lambda f: all(kind in _TAME_KINDS for kind in kinds),
+            lambda f: all(kind in TAME_KINDS for kind in kinds),
         ),
     )
 
@@ -635,6 +639,36 @@ def _verify_stabilization(doc: dict) -> tuple:
     return f, checks
 
 
+def _is_member(l: int, delta_images: tuple, h: MultiPoly) -> bool:
+    """Whether (derivation, h) is family member l, cheapest test first.  x1/t
+    is a slice, so an element of the kernel is fixed by its value at x1 = 0."""
+    delta = family_derivation(l)
+    x2, x3 = MultiPoly.variable(3, 2), MultiPoly.variable(3, 3)
+    return (
+        delta_images == delta.images
+        and delta.apply(h).is_zero()
+        and h.substitute([MultiPoly.zero(3), x2, x3])
+        == family_potential(l, slice_coefficients(l)[l])
+    )
+
+
+def family_l(doc: dict) -> int:
+    """The l of a family document that holds member l, for ``specialize --in``.
+    l is bounded first by the term count of h (an honest h has 2l + 3 terms),
+    so neither the check nor the rebuild outgrows the document."""
+    if document_kind(doc) != "family":
+        raise ParseError("--in expects a family document")
+    l = _field(doc, "l", int)
+    poly = partial(parse_poly, arity=3)
+    h = _field(doc, "h", poly)
+    terms = h.term_count()
+    if not 1 <= l <= terms:
+        raise ParseError(f"family document's l is outside 1..{terms}, the term count of its h")
+    if not _is_member(l, _field(doc, "derivation", [poly]), h):
+        raise ParseError(f"family document's derivation and h are not family member {l}")
+    return l
+
+
 _VERIFIERS = {
     "family": _verify_family,
     "conjugation": _verify_conjugation,
@@ -650,6 +684,16 @@ _VERIFIERS = {
 def dumps(doc: dict) -> str:
     """Canonical JSON text: fixed key order, two-space indent."""
     return json.dumps(doc, indent=2) + "\n"
+
+
+def read_document(path: str) -> dict:
+    """The document in the file at ``path``, which must be UTF-8 JSON text."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        return loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
 
 
 def loads(text: str) -> dict:
@@ -668,24 +712,40 @@ def render_text(doc: dict) -> str:
     """Flat deterministic text rendering of a document."""
     lines: list[str] = []
     for key, value in doc.items():
+        if isinstance(value, dict):
+            value = [f"{k}: {v}" for k, v in value.items()]
         if key == "transcript":
             continue
         if isinstance(value, list):
-            lines.append(f"{key}:")
-            for item in value:
-                lines.append(f"  {item}")
-        elif isinstance(value, dict):
-            lines.append(f"{key}:")
-            for k, v in value.items():
-                lines.append(f"  {k}: {v}")
+            lines += [f"{key}:", *(f"  {item}" for item in value)]
         else:
             lines.append(f"{key}: {value}")
     entries = doc["transcript"]
     lines.append("transcript:")
-    for entry in entries:
-        mark = "pass" if entry["pass"] else "FAIL"
-        lines.append(f"  {mark}  {entry['identity']}")
-    good = sum(1 for e in entries if e["pass"])
-    verdict = "pass" if good == len(entries) else "FAIL"
-    lines.append(f"result: {verdict} ({good}/{len(entries)} identities)")
+    lines += _transcript_lines(entries, all(entry["pass"] for entry in entries), "  ")
     return "\n".join(lines) + "\n"
+
+
+def verify_report(doc: dict, fmt: str) -> tuple[str, bool]:
+    """What ``verify`` writes for a document in ``fmt``, "json" or "text", and
+    whether the embedded transcript, read before the check list runs, matches
+    the recomputed one with every identity passing."""
+    embedded = _field(doc, "transcript", [{"identity": str, "pass": bool}])
+    checks = verify_document(doc)
+    matches = list(embedded) == checks
+    verified = matches and all(entry["pass"] for entry in checks)
+    if fmt == "json":
+        report = {"verified": verified, "transcript_matches": matches, "checks": checks}
+        return dumps(report), verified
+    match = f"transcript match: {'yes' if matches else 'NO'}"
+    return "\n".join(_transcript_lines(checks, verified, "", match)) + "\n", verified
+
+
+def _transcript_lines(entries, verified: bool, indent: str, *between: str) -> list[str]:
+    """One line per transcript entry, then ``between``, then the result line."""
+    good = sum(1 for entry in entries if entry["pass"])
+    return [
+        *(f"{indent}{'pass' if e['pass'] else 'FAIL'}  {e['identity']}" for e in entries),
+        *between,
+        f"result: {'pass' if verified else 'FAIL'} ({good}/{len(entries)} identities)",
+    ]

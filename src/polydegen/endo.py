@@ -9,6 +9,7 @@ are rewritten through phi.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from typing import Sequence
 
 from ._record import Record
@@ -90,10 +91,7 @@ class PolyEndo(Images):
         """
         if not factors:
             raise ArityMismatch("at least one factor is required")
-        result = factors[0]
-        for factor in factors[1:]:
-            result = result.compose(factor)
-        return result
+        return reduce(PolyEndo.compose, factors)
 
     def extend_arity(self, arity: int) -> PolyEndo:
         """The same map on a ring with extra later variables, fixed."""

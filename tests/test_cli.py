@@ -1,5 +1,6 @@
 """End-to-end command line behavior and exit codes."""
 
+import ast
 import hashlib
 import json
 import os
@@ -10,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
+import polydegen
 from conftest import family
-from polydegen import parse_poly
+from polydegen import MultiPoly, parse_poly
 from polydegen.cli import main
 from polydegen.documents import conjugation_document, dumps
 
@@ -320,6 +322,73 @@ def test_specialize_rejects_an_l_its_family_document_cannot_hold(tmp_path, capsy
     assert time.perf_counter() - start < 5.0
     assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
     assert "the term count of its h" in result.stderr
+
+
+def test_specialize_rejects_a_family_document_that_does_not_hold_its_member(tmp_path, capsys):
+    # member 1 with h padded to 45 terms and "l": 20 passes the term-count
+    # bound, and rebuilding member 20 from it would run for minutes; member 2
+    # relabelled "l": 3 would emit member 3's fiber
+    padded = json.loads(run(["family", "--l", "1"], capsys)[1])
+    x2 = MultiPoly.variable(3, 2)
+    h = parse_poly(padded["h"], arity=3) + sum((x2**i for i in range(1, 41)), MultiPoly.zero(3))
+    padded["h"], padded["l"] = str(h), 20
+    relabelled = json.loads(run(["family", "--l", "2"], capsys)[1])
+    relabelled["l"] = 3
+    for name, doc in (("padded", padded), ("relabelled", relabelled)):
+        bad = tmp_path / f"{name}.json"
+        bad.write_text(json.dumps(doc))
+        expected = f"error: family document's derivation and h are not family member {doc['l']}\n"
+        for alpha in ("5/3", "0"):
+            command = ["specialize", f"--alpha={alpha}", "--in", str(bad)]
+            start = time.perf_counter()
+            result = subprocess.run(
+                [sys.executable, "-m", "polydegen", *command],
+                capture_output=True,
+                text=True,
+                timeout=30,
+            )
+            assert result.returncode == 2, (name, alpha, result.stderr)
+            assert time.perf_counter() - start < 5.0
+            assert result.stderr == expected
+
+
+@pytest.mark.parametrize("l", [1, 3, 4])
+def test_specialize_from_a_family_document_is_specialize_at_its_l(tmp_path, capsys, l):
+    fam_path = tmp_path / "fam.json"
+    run(["family", "--l", str(l), "--out", str(fam_path)], capsys)
+    for alpha in ("5/3", "0"):
+        from_document = run(["specialize", "--in", str(fam_path), f"--alpha={alpha}"], capsys)
+        assert from_document[0] == 0
+        assert from_document == run(["specialize", "--l", str(l), f"--alpha={alpha}"], capsys)
+
+
+PACKAGE = Path(polydegen.__file__).resolve().parent
+
+
+def _imported_names(path):
+    """(module, name) for every ``from module import name`` in the file, a
+    relative module written with its leading dots."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            yield from ((module, alias.name) for alias in node.names)
+
+
+def test_no_module_imports_a_private_name_of_a_sibling():
+    # "from . import _kernel" imports a module, not a name of one
+    private = [
+        f"{path.name}: from {module} import {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for module, name in _imported_names(path)
+        if module.startswith(".") and module != "." and name.startswith("_")
+    ]
+    assert not private, private
+
+
+def test_the_command_line_reads_no_document_itself():
+    # reading and checking documents belongs to polydegen.documents
+    names = {name for _, name in _imported_names(PACKAGE / "cli.py")}
+    assert not names & {"_field", "document_kind", "loads", "parse_poly", "partial"}
 
 
 @pytest.mark.parametrize("version", [2, None], ids=["format_version 2", "no format_version"])

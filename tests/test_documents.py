@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import family
-from polydegen import parse_poly
+from polydegen import MultiPoly, parse_poly
 from polydegen.cli import build_parser, cmd_verify
 from polydegen.certificates import (
     ConjugationCertificate,
@@ -21,6 +21,7 @@ from polydegen.documents import (
     conjugation_document,
     dumps,
     family_document,
+    family_l,
     loads,
     render_text,
     stabilization_document,
@@ -73,6 +74,28 @@ def test_loads_rejects_bad_json():
         loads("{not json")
     with pytest.raises(ParseError):
         loads("[1, 2]")
+
+
+def test_family_l_reads_only_a_document_that_holds_its_member(docs):
+    doc = docs["family"]
+    assert family_l(doc) == 1
+    h = parse_poly(doc["h"], arity=3)
+    x2, x3, t = MultiPoly.variable(3, 2), MultiPoly.variable(3, 3), MultiPoly.parameter(3)
+    edits = {
+        "member 2's derivation": ("derivation", [*doc["derivation"][:2], str(-3 * x2**2)]),
+        "l relabelled": ("l", 2),
+        # the derivation does not kill h + x3
+        "h not in the kernel": ("h", str(h + x3)),
+        # 2h, h + t and h + h^2 are in the kernel, but differ from h at x1 = 0
+        "h doubled": ("h", str(2 * h)),
+        "h plus t": ("h", str(h + t)),
+        "h plus its square": ("h", str(h + h * h)),
+    }
+    for name, (key, value) in edits.items():
+        edited = {**doc, key: value}
+        with pytest.raises(ParseError, match="not family member"):
+            family_l(edited)
+        assert not all_pass(edited)[0], name
 
 
 def test_verify_rejects_wrong_envelope(docs):
