@@ -9,18 +9,23 @@ Four subcommands, all emitting self-verifying JSON documents:
     polydegen verify --in doc.json         recompute a document's transcript
 
 Exit codes: 0 every identity verified, 1 a verification failed, 2 usage or
-parse errors.
+parse errors, or an output that cannot be written (a closed or broken
+stdout included).
 
 This module keeps arguments and bytes: it parses the command line, builds
 and writes payloads, and maps errors to exit codes.  Reading a document,
-and checking one, is left to ``documents``.
+and checking one, is left to ``documents``.  ``main`` is the in-process
+entry and returns the exit code; ``run`` is the process entry of
+``python -m polydegen`` and the ``polydegen`` script, and ends the process.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
+from typing import NoReturn
 
 from .certificates import build_conjugation, build_stabilization, specialized_tameness
 from .documents import (
@@ -108,6 +113,8 @@ def _write(payload: str, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(payload)
+    elif sys.stdout is None:  # the process started with its stdout closed
+        raise OSError("standard output is closed")
     else:
         sys.stdout.write(payload)
 
@@ -156,5 +163,49 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def _observed() -> bool:
+    """Whether a tracer or profiler (``pdb``, ``cProfile``) watches this process."""
+    # from Python 3.12 cProfile registers as a sys.monitoring tool (ids 0-5)
+    # and leaves sys.getprofile() unset
+    monitoring = getattr(sys, "monitoring", None)
+    return (
+        sys.gettrace() is not None
+        or sys.getprofile() is not None
+        or (monitoring is not None and any(map(monitoring.get_tool, range(6))))
+    )
+
+
+def run() -> NoReturn:
+    """Run ``main`` as a process: flush its output, then end the process.
+
+    The process ends with ``os._exit``, which skips the interpreter's
+    teardown (the final collection, unloading every module and freeing the
+    objects still alive), since by then everything the command writes is
+    written: ``--out`` files are closed by their ``with`` and both standard
+    streams are flushed here.  A stream that cannot be flushed (a broken
+    pipe) gives one ``error:`` line and exit code 2, as an unwritable
+    ``--out`` does.  Under a tracer or profiler the process exits normally,
+    so that they still report; a debugger that has stopped tracing (``pdb``'s
+    ``continue`` with no breakpoint set) sees the process end.  Usage
+    errors, which argparse reports by raising ``SystemExit``, and uncaught
+    exceptions leave the usual way.
+    """
+    code = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except OSError as exc:
+        try:
+            print(f"error: {exc}", file=sys.stderr, flush=True)
+        except OSError:
+            pass
+        # a normal exit would flush the broken stream once more and report that
+        os._exit(2)
+    if _observed():
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

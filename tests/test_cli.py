@@ -583,3 +583,94 @@ def test_module_entry_point(tmp_path):
     )
     assert verify.returncode == 0
     assert "result: pass" in verify.stdout
+
+
+# block-buffered stdout, as by default, so that the process's last flush
+# is the one that writes the tail of its output
+_BUFFERED = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+
+
+def _process(*argv, **kwargs):
+    """``python -m polydegen`` in a fresh process, through ``cli.run``."""
+    return subprocess.run(
+        [sys.executable, "-m", "polydegen", *argv],
+        capture_output=True,
+        timeout=60,
+        env=_BUFFERED,
+        **kwargs,
+    )
+
+
+def test_main_returns_the_exit_code_in_process(tmp_path, capsys):
+    # cli.run ends its process; cli.main must not, since callers loop over it
+    doc_path = tmp_path / "smith.json"
+    code = main(["smith", "--l", "1", "--out", str(doc_path)])
+    assert type(code) is int and code == 0
+    doc = json.loads(doc_path.read_text())
+    doc["h"] = doc["h"] + " + 1"
+    doc_path.write_text(json.dumps(doc))
+    code = main(["verify", "--in", str(doc_path)])
+    assert type(code) is int and code == 1
+    assert type(main(["verify", "--in", str(tmp_path / "missing.json")])) is int
+
+
+def test_a_piped_document_is_written_whole(tmp_path, capsys):
+    # the smith l = 4 document (about 0.22 MB) is larger than a pipe's
+    # buffer, so the process must not end before its reader has it all
+    code, expected, _ = run(["smith", "--l", "4"], capsys)
+    assert code == 0 and len(expected) > 200_000
+    out = tmp_path / "smith4.json"
+    assert _process("smith", "--l", "4", "--out", str(out)).returncode == 0
+    piped = _process("smith", "--l", "4")
+    assert piped.returncode == 0 and piped.stderr == b""
+    assert piped.stdout == expected.encode("utf-8") == out.read_bytes()
+
+
+def test_a_process_that_fails_still_writes_both_streams(tmp_path, capsys):
+    doc_path = tmp_path / "fam.json"
+    run(["family", "--l", "1", "--out", str(doc_path)], capsys)
+    doc = json.loads(doc_path.read_text())
+    doc["h_limit"] = doc["h_limit"] + " + x2"
+    doc_path.write_text(json.dumps(doc))
+    bad = tmp_path / "bad.json"
+    bad.write_text("{broken")
+    for path, expected_code, line in [(doc_path, 1, b"FAIL"), (bad, 2, b"error: invalid JSON")]:
+        code, stdout, stderr = run(["verify", "--in", str(path)], capsys)
+        result = _process("verify", "--in", str(path))
+        assert code == result.returncode == expected_code
+        assert (result.stdout, result.stderr) == (stdout.encode(), stderr.encode())
+        assert line in result.stdout + result.stderr
+
+
+def test_a_profiled_process_still_reports():
+    # the process exits normally when a profiler watches it
+    result = subprocess.run(
+        [sys.executable, "-m", "cProfile", "-m", "polydegen", "smith", "--l", "1"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith('{\n  "format_version": 1')
+    assert "function calls" in result.stdout and "Ordered by" in result.stdout
+
+
+def test_a_closed_stdout_exits_two():
+    result = _process("smith", "--l", "1", preexec_fn=lambda: os.close(1))
+    assert result.returncode == 2
+    assert result.stderr == b"error: standard output is closed\n"
+
+
+def test_a_broken_pipe_exits_two():
+    # the reader is gone before the command writes; the text document (about
+    # 4 KB) stays in stdout's buffer until the process flushes it
+    with subprocess.Popen(
+        [sys.executable, "-m", "polydegen", "smith", "--l", "1", "--format", "text"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_BUFFERED,
+    ) as proc:
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == 2
+    assert stderr == b"error: [Errno 32] Broken pipe\n"
