@@ -5,69 +5,62 @@ triangular derivations, factors each fiber at t = alpha != 0 into triangular
 pieces, decides wildness of the fiber at t = 0, and writes the wild fiber as
 a four-factor commutator word one variable up.  Everything is computed over
 exact rationals; there is no floating point anywhere.
+
+Importing the package loads none of its modules: each public name is looked
+up in its defining module when it is first used (PEP 562), so a caller pays
+only for the modules its names need.
 """
 
-from ._kernel import kernel_backend
-from .certificates import (
-    ConjugationCertificate,
-    StabilizationCertificate,
-    TamenessWord,
-    WildnessReport,
-    build_conjugation,
-    build_stabilization,
-    check_wild_at_zero,
-    factor_kind,
-    specialized_tameness,
-)
-from .derivation import TriangularDerivation
-from .endo import PolyEndo
-from .errors import (
-    ArityMismatch,
-    CheckFailed,
-    CoefficientTooLong,
-    ExponentOverflow,
-    HypothesisViolation,
-    KernelViolation,
-    NonUnit,
-    NotTriangular,
-    ParseError,
-    PoleAtZero,
-    PolydegenError,
-)
-from .family import build_family, slice_coefficients
-from .multipoly import MultiPoly, RingMode
-from .parsing import parse_poly, parse_rational
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ArityMismatch",
-    "CheckFailed",
-    "CoefficientTooLong",
-    "ConjugationCertificate",
-    "ExponentOverflow",
-    "HypothesisViolation",
-    "KernelViolation",
-    "MultiPoly",
-    "NonUnit",
-    "NotTriangular",
-    "ParseError",
-    "PoleAtZero",
-    "PolyEndo",
-    "PolydegenError",
-    "RingMode",
-    "StabilizationCertificate",
-    "TamenessWord",
-    "TriangularDerivation",
-    "WildnessReport",
-    "build_conjugation",
-    "build_family",
-    "build_stabilization",
-    "check_wild_at_zero",
-    "factor_kind",
-    "kernel_backend",
-    "parse_poly",
-    "parse_rational",
-    "slice_coefficients",
-    "specialized_tameness",
-]
+# public name -> the module that defines it
+_EXPORTS = {
+    "kernel_backend": "_kernel",
+    "ConjugationCertificate": "certificates",
+    "StabilizationCertificate": "certificates",
+    "TamenessWord": "certificates",
+    "WildnessReport": "certificates",
+    "build_conjugation": "certificates",
+    "build_stabilization": "certificates",
+    "check_wild_at_zero": "certificates",
+    "factor_kind": "certificates",
+    "specialized_tameness": "certificates",
+    "TriangularDerivation": "derivation",
+    "PolyEndo": "endo",
+    "ArityMismatch": "errors",
+    "CheckFailed": "errors",
+    "CoefficientTooLong": "errors",
+    "ExponentOverflow": "errors",
+    "HypothesisViolation": "errors",
+    "KernelViolation": "errors",
+    "NonUnit": "errors",
+    "NotTriangular": "errors",
+    "ParseError": "errors",
+    "PoleAtZero": "errors",
+    "PolydegenError": "errors",
+    "build_family": "family",
+    "slice_coefficients": "family",
+    "MultiPoly": "multipoly",
+    "RingMode": "multipoly",
+    "parse_poly": "parsing",
+    "parse_rational": "parsing",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    # nothing is cached here, so a name always reads its module's binding
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        # ``from polydegen import <submodule>`` imports the submodule only
+        # after this AttributeError
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(import_module(f".{module}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -10,7 +10,8 @@ Four subcommands, all emitting self-verifying JSON documents:
 
 Exit codes: 0 every identity verified, 1 a verification failed, 2 usage or
 parse errors, or an output that cannot be written (a closed or broken
-stdout included).
+stdout included).  An error's one ``error:`` line goes to stderr only; when
+stderr is closed or broken the line is lost and the exit code stands.
 
 This module keeps arguments and bytes: it parses the command line, builds
 and writes payloads, and maps errors to exit codes.  Reading a document,
@@ -156,11 +157,25 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report(exc)
         return 2
     except PolydegenError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report(exc)
         return 1
+
+
+def _report(exc: Exception) -> None:
+    """Write the ``error:`` line of ``exc`` to stderr, if stderr can take it.
+
+    A process started with stderr closed has ``sys.stderr`` None, and a
+    stderr whose reader has gone raises OSError; either way the line is
+    lost and the exit code alone reports the error.  It never goes to stdout.
+    """
+    if sys.stderr is not None:
+        try:
+            print(f"error: {exc}", file=sys.stderr, flush=True)
+        except OSError:
+            pass
 
 
 def _observed() -> bool:
@@ -182,26 +197,29 @@ def run() -> NoReturn:
     teardown (the final collection, unloading every module and freeing the
     objects still alive), since by then everything the command writes is
     written: ``--out`` files are closed by their ``with`` and both standard
-    streams are flushed here.  A stream that cannot be flushed (a broken
+    streams are flushed here.  A stdout that cannot be flushed (a broken
     pipe) gives one ``error:`` line and exit code 2, as an unwritable
-    ``--out`` does.  Under a tracer or profiler the process exits normally,
-    so that they still report; a debugger that has stopped tracing (``pdb``'s
-    ``continue`` with no breakpoint set) sees the process end.  Usage
-    errors, which argparse reports by raising ``SystemExit``, and uncaught
-    exceptions leave the usual way.
+    ``--out`` does; a stderr that cannot be flushed loses its line and
+    keeps the exit code, as in ``_report``.  Under a tracer or profiler the
+    process exits normally, so that they still report; a debugger that has
+    stopped tracing (``pdb``'s ``continue`` with no breakpoint set) sees the
+    process end.  Usage errors, which argparse reports by raising
+    ``SystemExit``, and uncaught exceptions leave the usual way.
     """
     code = main()
     try:
-        for stream in (sys.stdout, sys.stderr):
-            if stream is not None:
-                stream.flush()
+        if sys.stdout is not None:
+            sys.stdout.flush()
     except OSError as exc:
-        try:
-            print(f"error: {exc}", file=sys.stderr, flush=True)
-        except OSError:
-            pass
+        _report(exc)
         # a normal exit would flush the broken stream once more and report that
         os._exit(2)
+    try:
+        if sys.stderr is not None:
+            sys.stderr.flush()
+    except OSError:
+        # the error line is lost and the exit code stands, as in _report
+        os._exit(code)
     if _observed():
         sys.exit(code)
     os._exit(code)

@@ -33,6 +33,7 @@ from fractions import Fraction
 from functools import cache, partial
 from types import SimpleNamespace
 
+from ._kernel import MAX_ARITY
 from .certificates import (
     ConjugationCertificate,
     StabilizationCertificate,
@@ -578,7 +579,15 @@ def _verify_stabilization(doc: dict) -> tuple:
     poly, extended = partial(parse_poly, arity=arity), partial(parse_poly, arity=m)
     f = _pair_fields(doc, poly)
     f.base_images = _field(doc, "base", [poly])
-    f.ext_images = _field(doc, "extension", [extended])
+    # An extension image written as a base image is that image lifted, so
+    # the copied text is parsed once.  Past MAX_ARITY, parse_poly refuses
+    # every extension image, copies included.
+    copies = dict(zip(doc["base"], f.base_images)) if m <= MAX_ARITY else {}
+    f.ext_images = _field(
+        doc,
+        "extension",
+        [lambda text: copies[text].extend_arity(m) if text in copies else extended(text)],
+    )
     f.gamma_images = _field(doc, "gamma", [extended])
     f.rho_images = _field(doc, "rho", [extended])
     f.factor_count = _field(doc, "factor_count", int)

@@ -385,6 +385,17 @@ def test_no_module_imports_a_private_name_of_a_sibling():
     assert not private, private
 
 
+def test_no_module_reads_a_name_through_the_package_root():
+    # the root binds its names lazily; "from . import X" must name a module
+    through_root = [
+        f"{path.name}: from {module} import {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for module, name in _imported_names(path)
+        if module in (".", "polydegen") and not (PACKAGE / f"{name}.py").is_file()
+    ]
+    assert not through_root, through_root
+
+
 def test_the_command_line_reads_no_document_itself():
     # reading and checking documents belongs to polydegen.documents
     names = {name for _, name in _imported_names(PACKAGE / "cli.py")}
@@ -659,6 +670,43 @@ def test_a_closed_stdout_exits_two():
     result = _process("smith", "--l", "1", preexec_fn=lambda: os.close(1))
     assert result.returncode == 2
     assert result.stderr == b"error: standard output is closed\n"
+
+
+def _without_stderr(how, *argv):
+    """``python -m polydegen`` whose stderr is closed before it starts, or a
+    pipe whose reader has gone."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "polydegen", *argv],
+            stdout=subprocess.PIPE,
+            stderr=write,
+            preexec_fn=(lambda: os.close(2)) if how == "closed" else None,
+            timeout=60,
+            env=_BUFFERED,
+        )
+    finally:
+        os.close(write)
+
+
+@pytest.mark.parametrize("how", ["closed", "reader gone"])
+def test_an_error_without_stderr_exits_two_and_writes_no_stdout(tmp_path, how):
+    result = _without_stderr(how, "verify", "--in", str(tmp_path / "missing.json"))
+    assert (result.returncode, result.stdout) == (2, b"")
+
+
+@pytest.mark.parametrize("how", ["closed", "reader gone"])
+def test_a_failing_check_without_stderr_exits_one(tmp_path, capsys, how):
+    result = _without_stderr(how, "family", "--l", "3000000000")
+    assert (result.returncode, result.stdout) == (1, b"")
+    doc_path = tmp_path / "fam.json"
+    run(["family", "--l", "1", "--out", str(doc_path)], capsys)
+    doc = json.loads(doc_path.read_text())
+    doc["h_limit"] = doc["h_limit"] + " + x2"
+    doc_path.write_text(json.dumps(doc))
+    result = _without_stderr(how, "verify", "--in", str(doc_path))
+    assert result.returncode == 1 and b"result: FAIL" in result.stdout
 
 
 def test_a_broken_pipe_exits_two():

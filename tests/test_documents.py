@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import family
-from polydegen import MultiPoly, parse_poly
+from polydegen import MultiPoly, documents, parse_poly
 from polydegen.cli import build_parser, cmd_verify
 from polydegen.certificates import (
     ConjugationCertificate,
@@ -287,6 +287,41 @@ def test_factor_kind_perturbation_fails(docs):
     doc["factor_kinds"] = ["opaque"] * 3
     checks = verify_document(doc)
     assert any(not c["pass"] for c in checks)
+
+
+def test_verify_parses_each_copied_text_once(docs, monkeypatch):
+    # the smith --l 1 document: each extension image that copies a base
+    # image's text is that image lifted, not parsed again
+    parsed = []
+
+    def counting(text, arity=None):
+        parsed.append(text)
+        return parse_poly(text, arity)
+
+    monkeypatch.setattr(documents, "parse_poly", counting)
+    doc = docs["stabilization"]
+    n = doc["arity"]
+    assert doc["extension"][:n] == doc["base"]
+    ok, checks = all_pass(doc)
+    assert ok and checks == doc["transcript"]
+    assert parsed == [
+        *doc["derivation"],
+        doc["h"],
+        *doc["base"],
+        *doc["extension"][n:],
+        *doc["gamma"],
+        *doc["rho"],
+    ]
+    assert len(parsed) == 16  # of 19 texts
+
+    # an extension image that is no copy is parsed, and fails the identity
+    edited = copy.deepcopy(doc)
+    extension_0 = parse_poly(edited["extension"][0], arity=n + 1)
+    edited["extension"][0] = str(extension_0 + MultiPoly.variable(n + 1, n + 1))
+    parsed.clear()
+    failed = [c["identity"] for c in verify_document(edited) if not c["pass"]]
+    assert "extension is the base with the new variable fixed" in failed
+    assert len(parsed) == 17 and edited["extension"][0] in parsed
 
 
 def test_semantic_breakage_is_reported_not_raised(docs):
