@@ -43,7 +43,6 @@ _EXPORTS = {
     "build_family": "family",
     "slice_coefficients": "family",
     "MultiPoly": "multipoly",
-    "RingMode": "multipoly",
     "parse_poly": "parsing",
     "parse_rational": "parsing",
 }

@@ -19,8 +19,8 @@ from fractions import Fraction
 from ._record import Record
 from .derivation import TriangularDerivation
 from .endo import PolyEndo
-from .errors import HypothesisViolation, KernelViolation, NonUnit
-from .multipoly import MultiPoly, RingMode
+from .errors import HypothesisViolation, KernelViolation
+from .multipoly import MultiPoly
 
 WILD = "wild"
 TAME = "tame"
@@ -118,24 +118,22 @@ class ConjugationCertificate(Record):
 def build_conjugation(delta: TriangularDerivation, h: MultiPoly) -> ConjugationCertificate:
     """Factor exp(h*delta) through an elementary map.
 
-    Needs delta(x1) to be a unit scalar of Q[t,t^-1] and delta(h) = 0, which
-    ``delta.exp(h)`` checks.  tau collects the slice images and p is h with
-    x1 sent to zero.  The identities, tau o epsilon o tau_inv = exp(h*delta)
-    among them, are checked by the conjugation document's check list.
+    Needs delta(x1) to be a unit scalar of Q[t,t^-1], which the slice
+    ``delta.sigma`` checks, and delta(h) = 0, which ``delta.exp(h)`` checks.
+    tau collects the slice images and p is h with x1 sent to zero.  The
+    identities, tau o epsilon o tau_inv = exp(h*delta) among them, are
+    checked by the conjugation document's check list.
     """
-    f1 = delta.images[0]
-    if not f1.is_unit(RingMode.LAURENT):
-        raise NonUnit(f"delta(x1) = {f1} is not a unit scalar of Q[t,t^-1]")
-    automorphism = delta.exp(h)
     variables = [MultiPoly.variable(delta.arity, i) for i in range(1, delta.arity + 1)]
     tau = PolyEndo((variables[0], *delta.kernel_generators()))
+    automorphism = delta.exp(h)
     p = h.substitute([MultiPoly.zero(delta.arity)] + variables[1:])
     return ConjugationCertificate(
         delta=delta,
         h=h,
         tau=tau,
         tau_inv=tau.invert_triangular(),
-        epsilon=PolyEndo((variables[0] + f1 * p, *variables[1:])),
+        epsilon=PolyEndo((variables[0] + delta.images[0] * p, *variables[1:])),
         slice_potential=p,
         automorphism=automorphism,
     )
@@ -148,14 +146,18 @@ OPAQUE = "opaque"
 TAME_KINDS = (TRIANGULAR, REORDERED)
 
 
-def factor_kind(factor: PolyEndo, mode: RingMode) -> str:
-    """Classify one factor of a tameness word.
+def factor_kind(factor: PolyEndo) -> str:
+    """Classify one factor of a tameness word at t = alpha.
 
-    "triangular" in the standard variable order, "triangular-after-
-    reordering" when some relabeling of the variables makes it triangular
-    (elementary maps always are), "opaque" otherwise.
+    A fiber is tame over Q, so a factor whose images carry t is "opaque".
+    A map over Q is "triangular" in the standard variable order, "triangular-
+    after-reordering" when some relabeling of the variables makes it
+    triangular (elementary maps always are), and "opaque" otherwise.
     """
-    order = factor.is_triangular_up_to_permutation(mode)
+    # a coefficient equals its value at t = 1 exactly when it is free of t
+    if factor.specialize(1) != factor:
+        return OPAQUE
+    order = factor.is_triangular_up_to_permutation()
     if order is None:
         return OPAQUE
     return TRIANGULAR if order == tuple(range(1, factor.arity + 1)) else REORDERED
@@ -173,10 +175,11 @@ class TamenessWord(Record):
 def specialized_tameness(cert: ConjugationCertificate, alpha: int | Fraction) -> TamenessWord:
     """Specialize the conjugation at t = alpha into a three-factor word.
 
-    The factors are (tau, epsilon, tau_inv) at alpha, each classified over
-    Q by :func:`factor_kind`; the word document's check list checks that
-    they compose to the fiber and that every kind certifies tameness.  A
-    pole of tau at alpha surfaces as the usual specialization error.
+    The factors are (tau, epsilon, tau_inv) at alpha, maps of Q[x1,...,xn]
+    each classified by :func:`factor_kind`; the word document's check list
+    checks that they compose to the fiber and that every kind certifies
+    tameness.  A pole of tau at alpha surfaces as the usual specialization
+    error.
     """
     alpha = Fraction(alpha)
     factors = tuple(
@@ -186,7 +189,7 @@ def specialized_tameness(cert: ConjugationCertificate, alpha: int | Fraction) ->
         alpha=alpha,
         factors=factors,
         fiber=cert.automorphism.specialize(alpha),
-        factor_kinds=tuple(factor_kind(f, RingMode.POLY) for f in factors),
+        factor_kinds=tuple(factor_kind(f) for f in factors),
     )
 
 

@@ -62,8 +62,17 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """Drops a usage error's usage line when stderr is closed, where argparse
+    would write it to stdout, as ``_report`` drops its line."""
+
+    def print_usage(self, file=None) -> None:
+        if file is not None:
+            super().print_usage(file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="polydegen",
         description="exact tameness and wildness certificates for a degenerating "
         "family of polynomial automorphisms",
@@ -203,10 +212,14 @@ def run() -> NoReturn:
     keeps the exit code, as in ``_report``.  Under a tracer or profiler the
     process exits normally, so that they still report; a debugger that has
     stopped tracing (``pdb``'s ``continue`` with no breakpoint set) sees the
-    process end.  Usage errors, which argparse reports by raising
-    ``SystemExit``, and uncaught exceptions leave the usual way.
+    process end.  A usage error or ``--help``, which argparse ends by
+    raising ``SystemExit``, ends here the same way; uncaught exceptions
+    leave the usual way.
     """
-    code = main()
+    try:
+        code = main()
+    except SystemExit as exc:
+        code = exc.code
     try:
         if sys.stdout is not None:
             sys.stdout.flush()

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .endo import Images, PolyEndo
 from .errors import ArityMismatch, KernelViolation, NonUnit, NotTriangular
-from .multipoly import MultiPoly, RingMode
+from .multipoly import MultiPoly
 
 
 class TriangularDerivation(Images):
@@ -47,23 +47,20 @@ class TriangularDerivation(Images):
 
     # ------------------------------------------------------------ exponential
 
-    def exp(self, h: MultiPoly | None = None) -> PolyEndo:
+    def exp(self, h: MultiPoly) -> PolyEndo:
         """The automorphism exp(h*delta), with h in the kernel of delta.
 
-        Omitting h means h = 1.  Images are the finite sums
-        sum_k h^k delta^k(x_i) / k!, and the result is returned as a
-        PolyEndo.
+        Images are the finite sums sum_k h^k delta^k(x_i) / k!, and the
+        result is returned as a PolyEndo.
 
         >>> t = MultiPoly.parameter(3)
         >>> x1 = MultiPoly.variable(3, 1)
         >>> x2 = MultiPoly.variable(3, 2)
         >>> delta = TriangularDerivation((t, x1, -2 * x2))
-        >>> print(delta.exp().images[1])
+        >>> print(delta.exp(MultiPoly.one(3)).images[1])
         x1 + x2 + (1/2*t)
         """
         n = self.arity
-        if h is None:
-            h = MultiPoly.one(n)
         if h.arity != n:
             raise ArityMismatch(f"h has arity {h.arity}, derivation has {n}")
         if not self.apply(h).is_zero():
@@ -91,10 +88,8 @@ class TriangularDerivation(Images):
         if poly.arity != n:
             raise ArityMismatch(f"polynomial arity {poly.arity} vs derivation arity {n}")
         f1 = self.images[0]
-        if not f1.is_constant():
-            raise NonUnit("delta(x1) must be a scalar to define the slice")
-        if not f1.is_unit(RingMode.LAURENT):
-            raise NonUnit(f"delta(x1) = {f1} is not a unit of Q[t,t^-1]")
+        if not f1.is_unit():
+            raise NonUnit(f"delta(x1) = {f1} is not a unit scalar of Q[t,t^-1]")
         s = -MultiPoly.variable(n, 1) * f1**-1
         return self._series(poly, s, [MultiPoly.one(n), s])
 

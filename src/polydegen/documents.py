@@ -49,10 +49,11 @@ from .derivation import TriangularDerivation
 from .endo import Images, PolyEndo
 from .errors import CheckFailed, ParseError, PolydegenError
 from .family import family_derivation, family_potential, has_limit_shape, slice_coefficients
-from .multipoly import MultiPoly, RingMode
+from .multipoly import MultiPoly
 from .parsing import parse_poly, parse_rational
 
 FORMAT_VERSION = 1
+_BASE_RING = "Q[t,t^-1]"  # the ring_mode field: every map's coefficients lie here
 
 _FLAGS = ("f2_residue_nonzero", "h_residue_not_in_x1", "derivative_outside_ideal")
 _LENGTH_BOUNDS = {"nonzero_alpha": 3, "zero_alpha": 4, "zero_alpha_exactness": "claimed"}
@@ -158,7 +159,7 @@ def family_document(l: int, cert: ConjugationCertificate) -> dict:
         "family",
         l=l,
         arity=3,
-        ring_mode=RingMode.LAURENT.value,
+        ring_mode=_BASE_RING,
         coefficients=slice_coefficients(l),
         derivation=delta,
         g2=cert.tau.images[1],
@@ -180,7 +181,7 @@ def conjugation_document(cert: ConjugationCertificate) -> dict:
     return _document(
         "conjugation",
         arity=cert.delta.arity,
-        ring_mode=RingMode.LAURENT.value,
+        ring_mode=_BASE_RING,
         derivation=cert.delta,
         h=cert.h,
         tau=cert.tau,
@@ -323,12 +324,9 @@ def _run(f: SimpleNamespace, checks) -> list[dict]:
 
 # Identities that read the same in several kinds.  _KILLS_H needs ``f.delta``
 # and ``f.h``; the rest read the fields of _conjugation_fields.
-_RING_MODE = ("ring mode is Q[t,t^-1]", lambda f: f.ring_mode == RingMode.LAURENT.value)
+_RING_MODE = ("ring mode is Q[t,t^-1]", lambda f: f.ring_mode == _BASE_RING)
 _KILLS_H = ("derivation kills h", lambda f: f.delta().apply(f.h).is_zero())
-_TAU_TRIANGULAR = (
-    "tau is triangular over Q[t,t^-1]",
-    lambda f: f.tau().is_triangular(RingMode.LAURENT),
-)
+_TAU_TRIANGULAR = ("tau is triangular over Q[t,t^-1]", lambda f: f.tau().is_triangular())
 _TAU_INVERTS = (
     "tau and tau_inv are mutually inverse",
     lambda f: f.tau().verify_inverse_pair(f.tau_inv()),
@@ -471,10 +469,7 @@ def _verify_conjugation(doc: dict) -> tuple:
     f = _conjugation_fields(doc, partial(parse_poly, arity=_field(doc, "arity", int)))
     return f, (
         _RING_MODE,
-        (
-            "delta(x1) is a unit scalar of Q[t,t^-1]",
-            lambda f: f.delta_images[0].is_unit(RingMode.LAURENT),
-        ),
+        ("delta(x1) is a unit scalar of Q[t,t^-1]", lambda f: f.delta_images[0].is_unit()),
         _KILLS_H,
         (
             "tau is x1 followed by the slice images",
@@ -554,7 +549,7 @@ def _verify_word(doc: dict) -> tuple:
         *(
             (
                 f"factor {i + 1} kind recomputes as stated",
-                lambda f, i=i: factor_kind(f.factors[i](), RingMode.POLY) == kinds[i],
+                lambda f, i=i: factor_kind(f.factors[i]()) == kinds[i],
             )
             for i in range(len(factors))
         ),

@@ -14,7 +14,7 @@ from typing import Sequence
 
 from ._record import Record
 from .errors import ArityMismatch, NotTriangular
-from .multipoly import MultiPoly, RingMode
+from .multipoly import MultiPoly
 
 
 class Images(Record):
@@ -110,11 +110,11 @@ class PolyEndo(Images):
         lead = self.images[i - 1].coefficient(unit_vec)
         return lead, self.images[i - 1] - lead * MultiPoly.variable(n, i)
 
-    def is_triangular(self, mode: RingMode = RingMode.LAURENT) -> bool:
+    def is_triangular(self) -> bool:
         """x_i maps to u_i*x_i + (terms in x1..x_{i-1}) with u_i a unit.
 
-        The mode picks where the leading coefficients must be invertible.
-        That is the case exactly when the first triangularizing order is the
+        The units are those of Q[t,t^-1], the single terms c*t^k.  The map
+        is triangular exactly when its first triangularizing order is the
         standard one.
 
         >>> x1 = MultiPoly.variable(2, 1)
@@ -124,11 +124,9 @@ class PolyEndo(Images):
         >>> PolyEndo((x1 + x2, x2)).is_triangular()
         False
         """
-        return self.is_triangular_up_to_permutation(mode) == tuple(range(1, self.arity + 1))
+        return self.is_triangular_up_to_permutation() == tuple(range(1, self.arity + 1))
 
-    def is_triangular_up_to_permutation(
-        self, mode: RingMode = RingMode.LAURENT
-    ) -> tuple[int, ...] | None:
+    def is_triangular_up_to_permutation(self) -> tuple[int, ...] | None:
         """A variable order making the map triangular, or None.
 
         Returns the first permutation p of 1..n, in lexicographic order, such
@@ -144,7 +142,7 @@ class PolyEndo(Images):
         needs = []
         for i in range(1, n + 1):
             lead, rest = self._split(i)
-            if not lead.is_unit(mode) or rest.involves(i):
+            if not lead.is_unit() or rest.involves(i):
                 return None
             needs.append({j for j in range(1, n + 1) if rest.involves(j)})
         order: list[int] = []
@@ -159,7 +157,7 @@ class PolyEndo(Images):
 
     # ---------------------------------------------------------------- inverses
 
-    def invert_triangular(self, mode: RingMode = RingMode.LAURENT) -> PolyEndo:
+    def invert_triangular(self) -> PolyEndo:
         """Exact inverse of a triangular map by back substitution.
 
         >>> x1 = MultiPoly.variable(2, 1)
@@ -168,8 +166,8 @@ class PolyEndo(Images):
         >>> print(tau.invert_triangular())
         (x1, -x1^2 + x2)
         """
-        if not self.is_triangular(mode):
-            raise NotTriangular(f"the map is not triangular over {mode.value}")
+        if not self.is_triangular():
+            raise NotTriangular("the map is not triangular over Q[t,t^-1]")
         n = self.arity
         inverse: list[MultiPoly] = []
         for i in range(1, n + 1):

@@ -18,7 +18,6 @@ with x1 > x2 > ... > xn, higher total degree first.
 
 from __future__ import annotations
 
-import enum
 import sys
 from fractions import Fraction
 from math import gcd
@@ -35,18 +34,6 @@ from .errors import (
 
 _W = K.SLOT_BITS
 _SLOT = K.SLOT_MASK
-
-
-class RingMode(enum.Enum):
-    """Which base ring the coefficients are read in.
-
-    The distinction only matters for unit tests and inverses: the units of
-    Q[t] are the nonzero rationals, the units of Q[t,t^-1] are the single
-    terms c*t^k with c a nonzero rational.
-    """
-
-    POLY = "Q[t]"
-    LAURENT = "Q[t,t^-1]"
 
 
 class MultiPoly:
@@ -200,19 +187,17 @@ class MultiPoly:
         low_mask = (1 << (self.arity * _W)) - 1
         return not any(key & low_mask for key in self._terms)
 
-    def is_unit(self, mode: RingMode) -> bool:
-        """True for a unit of the base ring: one term c*t^k and no variable,
-        with k = 0 in Q[t].  Its inverse is ``self ** -1``.
+    def is_unit(self) -> bool:
+        """True for a unit of Q[t,t^-1]: one term c*t^k and no variable.
+        Its inverse is ``self ** -1``.
 
         >>> t = MultiPoly.parameter(1)
-        >>> (t**-3 * 2).is_unit(RingMode.LAURENT), (t**-3 * 2).is_unit(RingMode.POLY)
+        >>> (t**-3 * 2).is_unit(), (t + 1).is_unit()
         (True, False)
         """
         if len(self._terms) != 1:
             return False
         [key] = self._terms
-        if mode is RingMode.POLY:
-            return key == 0
         return not key & ((1 << (self.arity * _W)) - 1)
 
     def involves(self, index: int) -> bool:

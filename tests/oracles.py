@@ -218,18 +218,18 @@ def ref_decode(terms, arity, slot_bits):
 # --------------------------------------------------------- variable orders
 
 
-def is_triangular_by_definition(endo, mode):
-    """Image i is u*x_i plus terms in x1..x_{i-1}, with u a unit in mode."""
+def is_triangular_by_definition(endo):
+    """Image i is u*x_i plus terms in x1..x_{i-1}, with u a unit of Q[t,t^-1]."""
     n = endo.arity
     for i, img in enumerate(endo.images, start=1):
         lead = img.coefficient(tuple(int(j == i) for j in range(1, n + 1)))
         rest = img - lead * MultiPoly.variable(n, i)
-        if not lead.is_unit(mode) or any(rest.involves(j) for j in range(i, n + 1)):
+        if not lead.is_unit() or any(rest.involves(j) for j in range(i, n + 1)):
             return False
     return True
 
 
-def triangularizing_order_by_search(endo, mode):
+def triangularizing_order_by_search(endo):
     """The first permutation p, in lexicographic order, for which
     conjugating endo by x_i -> x_{p_i} gives a triangular map; None if
     there is none.  Tries every one of the n! orders.
@@ -241,7 +241,7 @@ def triangularizing_order_by_search(endo, mode):
             inverse[p - 1] = i + 1
         front = PolyEndo(tuple(MultiPoly.variable(n, p) for p in inverse))
         back = PolyEndo(tuple(MultiPoly.variable(n, p) for p in perm))
-        if is_triangular_by_definition(front.compose(endo).compose(back), mode):
+        if is_triangular_by_definition(front.compose(endo).compose(back)):
             return perm
     return None
 

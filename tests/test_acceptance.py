@@ -16,7 +16,6 @@ from oracles import divide_by_linear_system
 from polydegen import (
     MultiPoly,
     PolyEndo,
-    RingMode,
     TriangularDerivation,
     build_stabilization,
     check_wild_at_zero,
@@ -207,7 +206,7 @@ def test_criterion_06_tame_fibers():
                         all(_t_free(image) for image in factor.images),
                         f"l={l}, alpha={alpha}: factor {pos} not over Q",
                     )
-                    kind = factor_kind(factor, RingMode.POLY)
+                    kind = factor_kind(factor)
                     _need(
                         problems,
                         kind in ("triangular", "triangular-after-reordering"),

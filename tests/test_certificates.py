@@ -23,7 +23,6 @@ from polydegen.errors import (
     NonUnit,
     PoleAtZero,
 )
-from polydegen.multipoly import RingMode
 
 
 def make_delta(*texts):
@@ -147,13 +146,16 @@ def test_builders_leave_the_kernel_check_to_exp(families):
 
 def test_factor_kind_classification():
     tri = PolyEndo(tuple(parse_poly(s, arity=3) for s in ("2*x1", "x1^2 + x2", "x3")))
-    assert factor_kind(tri, RingMode.LAURENT) == "triangular"
+    assert factor_kind(tri) == "triangular"
     shift = PolyEndo(tuple(parse_poly(s, arity=3) for s in ("x2*x3 + x1", "x2", "x3")))
-    assert factor_kind(shift, RingMode.LAURENT) == "triangular-after-reordering"
+    assert factor_kind(shift) == "triangular-after-reordering"
     opaque = PolyEndo(
         tuple(parse_poly(s, arity=3) for s in ("x2^2 + x1", "x1^2 + x2", "x3"))
     )
-    assert factor_kind(opaque, RingMode.LAURENT) == "opaque"
+    assert factor_kind(opaque) == "opaque"
+    # triangular over Q[t,t^-1], but a factor of a word must be a map over Q
+    scaled = PolyEndo(tuple(parse_poly(s, arity=3) for s in ("x1", "(t)*x1 + x2", "x3")))
+    assert factor_kind(scaled) == "opaque"
 
 
 # ------------------------------------------------------------ tameness words

@@ -13,7 +13,7 @@ import pytest
 
 import polydegen
 from conftest import family
-from polydegen import MultiPoly, parse_poly
+from polydegen import MultiPoly, PolyEndo, parse_poly
 from polydegen.cli import main
 from polydegen.documents import conjugation_document, dumps
 
@@ -219,6 +219,38 @@ def test_verify_flags_tampered_document(tmp_path, capsys):
     code, stdout, _ = run(["verify", "--in", str(doc_path)], capsys)
     assert code == 1
     assert "FAIL" in stdout
+
+
+def _endo(*images):
+    return PolyEndo(tuple(parse_poly(image, arity=3) for image in images))
+
+
+@pytest.mark.parametrize(
+    "kinds, failing",
+    [
+        (
+            ["triangular", "triangular-after-reordering", "triangular"],
+            {"factor 2 kind recomputes as stated", "factor 3 kind recomputes as stated"},
+        ),
+        (["triangular", "opaque", "opaque"], {"every factor kind certifies tameness"}),
+    ],
+    ids=["kinds over Q[t,t^-1]", "kinds opaque"],
+)
+def test_verify_rejects_a_word_whose_factors_carry_t(tmp_path, capsys, kinds, failing):
+    # (T, E, Ti) refactored as (T, E o D, D^-1 o Ti) with D = (x1, x2, x3 + t*x2):
+    # the same product, but the last two factors are not maps over Q
+    doc = json.loads(run(["specialize", "--l", "1", "--alpha=5/3"], capsys)[1])
+    tau, epsilon, tau_inv = (_endo(*images) for images in doc["factors"])
+    d, d_inv = _endo("x1", "x2", "(t)*x2 + x3"), _endo("x1", "x2", "(-t)*x2 + x3")
+    factors = (tau, epsilon.compose(d), d_inv.compose(tau_inv))
+    assert PolyEndo.compose_chain(factors) == PolyEndo.compose_chain((tau, epsilon, tau_inv))
+    doc["factors"] = [[str(image) for image in factor.images] for factor in factors]
+    doc["factor_kinds"] = kinds
+    doc_path = tmp_path / "word.json"
+    doc_path.write_text(json.dumps(doc))
+    code, stdout, _ = run(["verify", "--in", str(doc_path)], capsys)
+    assert code == 1
+    assert {line[6:] for line in stdout.splitlines() if line.startswith("FAIL  ")} == failing
 
 
 def test_verify_flags_tampered_transcript(tmp_path, capsys):
@@ -693,6 +725,13 @@ def _without_stderr(how, *argv):
 @pytest.mark.parametrize("how", ["closed", "reader gone"])
 def test_an_error_without_stderr_exits_two_and_writes_no_stdout(tmp_path, how):
     result = _without_stderr(how, "verify", "--in", str(tmp_path / "missing.json"))
+    assert (result.returncode, result.stdout) == (2, b"")
+
+
+@pytest.mark.parametrize("how", ["closed", "reader gone"])
+@pytest.mark.parametrize("argv", [["--bogus"], ["family"]], ids=["top level", "subcommand"])
+def test_a_usage_error_without_stderr_exits_two_and_writes_no_stdout(how, argv):
+    result = _without_stderr(how, *argv)
     assert (result.returncode, result.stdout) == (2, b"")
 
 

@@ -12,7 +12,7 @@ from polydegen import parse_poly
 from polydegen.certificates import OPAQUE, REORDERED, TRIANGULAR, factor_kind
 from polydegen.endo import PolyEndo
 from polydegen.errors import ArityMismatch, NotTriangular
-from polydegen.multipoly import MultiPoly, RingMode
+from polydegen.multipoly import MultiPoly
 
 
 def endo(*texts, arity=None):
@@ -95,11 +95,8 @@ def test_arity_checks():
 
 def test_triangular_detection():
     tri = endo("2*x1 + 1", "x1^5 + x2", "x1*x2 + x3")
-    assert tri.is_triangular(RingMode.LAURENT)
-    assert tri.is_triangular(RingMode.POLY)
-    laurent_only = endo("(t)*x1", "x2", "x3")
-    assert laurent_only.is_triangular(RingMode.LAURENT)
-    assert not laurent_only.is_triangular(RingMode.POLY)
+    assert tri.is_triangular()
+    assert endo("(t)*x1", "x2", "x3").is_triangular()
     assert not endo("x1 + x2", "x2", "x3").is_triangular()
     assert not endo("x1*x2", "x2", "x3").is_triangular()
 
@@ -109,14 +106,12 @@ def test_triangular_after_reordering():
     # order is reversed
     shift = endo("x2*x3^2 + x1", "x2", "x3")
     assert not shift.is_triangular()
-    assert shift.is_triangular_up_to_permutation(RingMode.LAURENT)
+    assert shift.is_triangular_up_to_permutation()
     # every diagonal entry of the linear part is zero here, and conjugating
     # by a permutation cannot repair that
     cycle = endo("x3^2 + x2", "x3", "x1 + 1")
-    assert not cycle.is_triangular_up_to_permutation(RingMode.LAURENT)
-    assert not endo("x1 + x2", "x1 + x2", "x3").is_triangular_up_to_permutation(
-        RingMode.LAURENT
-    )
+    assert not cycle.is_triangular_up_to_permutation()
+    assert not endo("x1 + x2", "x1 + x2", "x3").is_triangular_up_to_permutation()
 
 
 def _random_reorderable(rng, n):
@@ -146,14 +141,19 @@ def test_reordering_matches_the_permutation_search():
     outcomes = set()
     for _ in range(60):
         e = _random_reorderable(rng, rng.randint(1, 5))
-        for mode in (RingMode.LAURENT, RingMode.POLY):
-            expected = triangularizing_order_by_search(e, mode)
-            assert e.is_triangular_up_to_permutation(mode) == expected, (e, mode)
-            standard = expected == tuple(range(1, e.arity + 1))
-            assert e.is_triangular(mode) == standard, (e, mode)
-            kind = OPAQUE if expected is None else TRIANGULAR if standard else REORDERED
-            assert factor_kind(e, mode) == kind, (e, mode)
-            outcomes.add(kind)
+        expected = triangularizing_order_by_search(e)
+        assert e.is_triangular_up_to_permutation() == expected, e
+        standard = expected == tuple(range(1, e.arity + 1))
+        assert e.is_triangular() == standard, e
+        # a factor of a word is a map over Q: one whose images carry t is opaque
+        over_q = all(key[-1] == 0 for img in e.images for key, _ in img.terms())
+        kind = (
+            OPAQUE
+            if expected is None or not over_q
+            else TRIANGULAR if standard else REORDERED
+        )
+        assert factor_kind(e) == kind, e
+        outcomes.add(kind)
     assert outcomes == {OPAQUE, TRIANGULAR, REORDERED}
 
 
@@ -163,20 +163,20 @@ def test_large_factors_are_classified_fast():
     cycle = PolyEndo(tuple(x[i] + x[(i + 1) % n] ** 2 for i in range(n)))
     chain = PolyEndo(tuple(x[i] + x[i + 1] ** 2 for i in range(n - 1)) + (x[-1],))
     start = time.perf_counter()
-    assert factor_kind(cycle, RingMode.POLY) == OPAQUE
-    assert factor_kind(chain, RingMode.POLY) == REORDERED
-    assert chain.is_triangular_up_to_permutation(RingMode.POLY) == tuple(range(n, 0, -1))
+    assert factor_kind(cycle) == OPAQUE
+    assert factor_kind(chain) == REORDERED
+    assert chain.is_triangular_up_to_permutation() == tuple(range(n, 0, -1))
     assert time.perf_counter() - start < 1.0
 
 
 def test_invert_triangular():
     tri = endo("2*x1 + 1", "x1^5 + x2", "x1*x2 + x3")
-    inv = tri.invert_triangular(RingMode.LAURENT)
+    inv = tri.invert_triangular()
     assert tri.verify_inverse_pair(inv)
     assert inv.compose(tri) == PolyEndo.identity(3)
-    # over Q[t] the scale t is not a unit, so the map is not triangular there
-    with pytest.raises(NotTriangular):
-        endo("(t)*x1", "x2", "x3").invert_triangular(RingMode.POLY)
+    # the scale 1 + t is not a unit of Q[t,t^-1], so the map is not triangular
+    with pytest.raises(NotTriangular, match=r"^the map is not triangular over Q\[t,t\^-1\]$"):
+        endo("(1 + t)*x1", "x2", "x3").invert_triangular()
 
 
 def test_invert_triangular_random():
@@ -191,7 +191,7 @@ def test_invert_triangular_random():
                 img = img + lower.extend_arity(3)
             images.append(img)
         tri = PolyEndo(tuple(images))
-        inv = tri.invert_triangular(RingMode.LAURENT)
+        inv = tri.invert_triangular()
         assert tri.verify_inverse_pair(inv)
 
 
