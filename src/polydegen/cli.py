@@ -63,12 +63,21 @@ def _rational(text: str) -> Fraction:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Drops a usage error's usage line when stderr is closed, where argparse
-    would write it to stdout, as ``_report`` drops its line."""
+    """Drops a message that its stream cannot take, as ``_report`` drops its
+    line: a usage error's lines when stderr is closed (where argparse would
+    write the usage line to stdout) or its reader has gone.  Only argparse
+    from Python 3.11.7 guards these writes itself."""
 
     def print_usage(self, file=None) -> None:
         if file is not None:
             super().print_usage(file)
+
+    def _print_message(self, message: str, file=None) -> None:
+        if message and file is not None:
+            try:
+                file.write(message)
+            except OSError:
+                pass
 
 
 def build_parser() -> argparse.ArgumentParser:
