@@ -38,8 +38,6 @@ from math import gcd
 
 from .errors import ExponentOverflow, NonUnit
 
-BACKEND = "pure"
-
 SLOT_BITS = 32
 SLOT_MASK = (1 << SLOT_BITS) - 1
 MAX_EXPONENT = (1 << (SLOT_BITS - 1)) - 1
@@ -53,7 +51,7 @@ MAX_ARITY = 64
 
 def kernel_backend() -> str:
     """Name of the term kernel; there is one, written in pure Python."""
-    return BACKEND
+    return "pure"
 
 
 class Terms(dict):

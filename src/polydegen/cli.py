@@ -34,7 +34,6 @@ from .documents import (
     family_document,
     family_l,
     read_document,
-    render_text,
     stabilization_document,
     verify_report,
     wildness_document,
@@ -62,22 +61,30 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _say(message: str, stream) -> None:
+    """Write and flush ``message`` to ``stream``, or drop it when the stream
+    is None (the process started with it closed) or cannot take it (its
+    reader has gone): the exit code alone then reports what happened."""
+    if stream is not None:
+        try:
+            stream.write(message)
+            stream.flush()
+        except OSError:
+            pass
+
+
 class _Parser(argparse.ArgumentParser):
-    """Drops a message that its stream cannot take, as ``_report`` drops its
-    line: a usage error's lines when stderr is closed (where argparse would
-    write the usage line to stdout) or its reader has gone.  Only argparse
-    from Python 3.11.7 guards these writes itself."""
+    """Writes argparse's messages through ``_say``, as ``_report`` writes its
+    line, so a usage error's lines are dropped when stderr is closed (where
+    argparse would write the usage line to stdout) or its reader has gone.
+    Only argparse from Python 3.11.7 guards these writes itself."""
 
     def print_usage(self, file=None) -> None:
         if file is not None:
             super().print_usage(file)
 
     def _print_message(self, message: str, file=None) -> None:
-        if message and file is not None:
-            try:
-                file.write(message)
-            except OSError:
-                pass
+        _say(message, file)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -97,10 +104,9 @@ def build_parser() -> argparse.ArgumentParser:
         "specialize",
         help="emit one fiber: a tameness word at alpha != 0, the wildness report at alpha = 0",
     )
-    specialize.add_argument("--l", type=_positive_int, help="family index, at least 1")
-    specialize.add_argument(
-        "--in", dest="input", metavar="PATH", help="family document to read l from"
-    )
+    member = specialize.add_mutually_exclusive_group(required=True)
+    member.add_argument("--l", type=_positive_int, help="family index, at least 1")
+    member.add_argument("--in", dest="input", metavar="PATH", help="family document to read l from")
     specialize.add_argument("--alpha", type=_rational, required=True, help="rational value for t")
     _output_flags(specialize)
     specialize.set_defaults(func=cmd_specialize)
@@ -120,12 +126,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _output_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", metavar="PATH", help="write the payload here instead of stdout")
-    sub.add_argument("--format", choices=("json", "text"), default="json")
 
 
 def _emit(doc: dict, args: argparse.Namespace) -> None:
-    payload = dumps(doc) if args.format == "json" else render_text(doc)
-    _write(payload, args.out)
+    _write(dumps(doc), args.out)
 
 
 def _write(payload: str, out: str | None) -> None:
@@ -144,10 +148,6 @@ def cmd_family(args: argparse.Namespace) -> int:
 
 
 def cmd_specialize(args: argparse.Namespace) -> int:
-    if args.input is not None and args.l is not None:
-        raise ParseError("give either --l or --in, not both")
-    if args.input is None and args.l is None:
-        raise ParseError("specialize needs --l or --in")
     l = args.l if args.input is None else family_l(read_document(args.input))
     delta, h = build_family(l)
     if args.alpha == 0:
@@ -189,11 +189,7 @@ def _report(exc: Exception) -> None:
     stderr whose reader has gone raises OSError; either way the line is
     lost and the exit code alone reports the error.  It never goes to stdout.
     """
-    if sys.stderr is not None:
-        try:
-            print(f"error: {exc}", file=sys.stderr, flush=True)
-        except OSError:
-            pass
+    _say(f"error: {exc}\n", sys.stderr)
 
 
 def _observed() -> bool:

@@ -712,24 +712,6 @@ def loads(text: str) -> dict:
     return doc
 
 
-def render_text(doc: dict) -> str:
-    """Flat deterministic text rendering of a document."""
-    lines: list[str] = []
-    for key, value in doc.items():
-        if isinstance(value, dict):
-            value = [f"{k}: {v}" for k, v in value.items()]
-        if key == "transcript":
-            continue
-        if isinstance(value, list):
-            lines += [f"{key}:", *(f"  {item}" for item in value)]
-        else:
-            lines.append(f"{key}: {value}")
-    entries = doc["transcript"]
-    lines.append("transcript:")
-    lines += _transcript_lines(entries, all(entry["pass"] for entry in entries), "  ")
-    return "\n".join(lines) + "\n"
-
-
 def verify_report(doc: dict, fmt: str) -> tuple[str, bool]:
     """What ``verify`` writes for a document in ``fmt``, "json" or "text", and
     whether the embedded transcript, read before the check list runs, matches
@@ -741,15 +723,10 @@ def verify_report(doc: dict, fmt: str) -> tuple[str, bool]:
     if fmt == "json":
         report = {"verified": verified, "transcript_matches": matches, "checks": checks}
         return dumps(report), verified
-    match = f"transcript match: {'yes' if matches else 'NO'}"
-    return "\n".join(_transcript_lines(checks, verified, "", match)) + "\n", verified
-
-
-def _transcript_lines(entries, verified: bool, indent: str, *between: str) -> list[str]:
-    """One line per transcript entry, then ``between``, then the result line."""
-    good = sum(1 for entry in entries if entry["pass"])
-    return [
-        *(f"{indent}{'pass' if e['pass'] else 'FAIL'}  {e['identity']}" for e in entries),
-        *between,
-        f"result: {'pass' if verified else 'FAIL'} ({good}/{len(entries)} identities)",
+    good = sum(1 for entry in checks if entry["pass"])
+    lines = [
+        *(f"{'pass' if entry['pass'] else 'FAIL'}  {entry['identity']}" for entry in checks),
+        f"transcript match: {'yes' if matches else 'NO'}",
+        f"result: {'pass' if verified else 'FAIL'} ({good}/{len(checks)} identities)",
     ]
+    return "\n".join(lines) + "\n", verified

@@ -23,7 +23,6 @@ from polydegen.documents import (
     family_document,
     family_l,
     loads,
-    render_text,
     stabilization_document,
     verify_document,
     wildness_document,
@@ -352,14 +351,6 @@ def test_wildness_document_for_tame_control_is_consistent():
     assert doc["verdict"] == "tame"
     ok, checks = all_pass(doc)
     assert ok, [c["identity"] for c in checks if not c["pass"]]
-
-
-def test_render_text(docs):
-    for doc in docs.values():
-        text = render_text(doc)
-        assert text.count("pass  ") == len(doc["transcript"])
-        assert "result: pass" in text
-        assert text == render_text(doc)
 
 
 def test_transcript_is_json_stable(docs):
