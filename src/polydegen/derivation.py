@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Mapping
 
 from .endo import Images, PolyEndo
 from .errors import ArityMismatch, KernelViolation, NonUnit, NotTriangular
@@ -51,7 +52,8 @@ class TriangularDerivation(Images):
         """The automorphism exp(h*delta), with h in the kernel of delta.
 
         Images are the finite sums sum_k h^k delta^k(x_i) / k!, and the
-        result is returned as a PolyEndo.
+        result is returned as a PolyEndo.  The n images read the powers of
+        h from one table, so each power is built once.
 
         >>> t = MultiPoly.parameter(3)
         >>> x1 = MultiPoly.variable(3, 1)
@@ -65,8 +67,8 @@ class TriangularDerivation(Images):
             raise ArityMismatch(f"h has arity {h.arity}, derivation has {n}")
         if not self.apply(h).is_zero():
             raise KernelViolation("h is not killed by the derivation")
-        powers = [MultiPoly.one(n), h]  # h^k, shared by the n images
-        return PolyEndo(tuple(self._series(MultiPoly.variable(n, i), h, powers) for i in range(1, n + 1)))
+        powers = h.powers()
+        return PolyEndo(tuple(self._series(MultiPoly.variable(n, i), powers) for i in range(1, n + 1)))
 
     # ------------------------------------------------------------------ slice
 
@@ -75,7 +77,9 @@ class TriangularDerivation(Images):
 
         Requires f1 = delta(x1) to be a scalar unit of Q[t,t^-1].  The value
         is sum_k delta^k(poly)/k! * (-x1/f1)^k, which kills x1, fixes the
-        kernel pointwise, and is a ring homomorphism onto the kernel.
+        kernel pointwise, and is a ring homomorphism onto the kernel.  The
+        ratio -x1/f1 is one term, so each of its powers is raised in one
+        step.
 
         >>> t = MultiPoly.parameter(3)
         >>> x1 = MultiPoly.variable(3, 1)
@@ -90,11 +94,10 @@ class TriangularDerivation(Images):
         f1 = self.images[0]
         if not f1.is_unit():
             raise NonUnit(f"delta(x1) = {f1} is not a unit scalar of Q[t,t^-1]")
-        s = -MultiPoly.variable(n, 1) * f1**-1
-        return self._series(poly, s, [MultiPoly.one(n), s])
+        return self._series(poly, (-MultiPoly.variable(n, 1) * f1**-1).powers())
 
-    def _series(self, poly: MultiPoly, s: MultiPoly, powers: list[MultiPoly]) -> MultiPoly:
-        """The finite sum of s^k * delta^k(poly) / k!; powers[k] = s^k, appended as needed."""
+    def _series(self, poly: MultiPoly, powers: Mapping[int, MultiPoly]) -> MultiPoly:
+        """The finite sum of s^k * delta^k(poly) / k!, with powers[k] = s^k."""
         summands = [poly]
         term = poly
         k = 0
@@ -103,8 +106,6 @@ class TriangularDerivation(Images):
             if term.is_zero():
                 return MultiPoly.sum(poly.arity, summands)
             k += 1
-            if k == len(powers):
-                powers.append(powers[-1] * s)
             summands.append(powers[k] * term * Fraction(1, math.factorial(k)))
 
     def kernel_generators(self) -> tuple[MultiPoly, ...]:

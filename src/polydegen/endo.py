@@ -68,14 +68,10 @@ class PolyEndo(Images):
     # ------------------------------------------------------------- application
 
     def apply(self, poly: MultiPoly) -> MultiPoly:
-        if poly.arity != self.arity:
-            raise ArityMismatch(f"polynomial arity {poly.arity} vs map arity {self.arity}")
         return poly.substitute(self.images)
 
     def compose(self, other: PolyEndo) -> PolyEndo:
         """self o other, so (self.compose(other)).apply == apply through both."""
-        if other.arity != self.arity:
-            raise ArityMismatch(f"arity {self.arity} vs {other.arity}")
         return PolyEndo(tuple(self.apply(img) for img in other.images))
 
     @staticmethod

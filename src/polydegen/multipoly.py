@@ -51,8 +51,7 @@ class MultiPoly:
     __slots__ = ("arity", "_terms")
 
     def __init__(self, arity: int, terms: Mapping[tuple, int | Fraction] | None = None):
-        if arity < 1:
-            raise ValueError("arity must be at least 1")
+        _check_arity(arity)
         pieces = []
         for key, coeff in (terms or {}).items():
             key = tuple(int(e) for e in key)
@@ -81,8 +80,7 @@ class MultiPoly:
 
     @classmethod
     def zero(cls, arity: int) -> MultiPoly:
-        if arity < 1:
-            raise ValueError("arity must be at least 1")
+        _check_arity(arity)
         return cls._raw(arity, K.make({}))
 
     @classmethod
@@ -92,6 +90,7 @@ class MultiPoly:
     @classmethod
     def constant(cls, arity: int, value: int | Fraction) -> MultiPoly:
         """Embed a rational, so the variables do not occur."""
+        _check_arity(arity)
         c = Fraction(value)
         if not c:
             return cls.zero(arity)
@@ -107,6 +106,7 @@ class MultiPoly:
     @classmethod
     def parameter(cls, arity: int) -> MultiPoly:
         """The parameter t as a constant polynomial."""
+        _check_arity(arity)
         return cls._raw(arity, K.make({K.t_key(arity): 1}))
 
     @classmethod
@@ -119,6 +119,7 @@ class MultiPoly:
         >>> print(MultiPoly.sum(2, [x1, x1**2 / 2, -x1]))
         1/2*x1^2
         """
+        _check_arity(arity)
         pieces = []
         for poly in polys:
             if poly.arity != arity:
@@ -273,25 +274,23 @@ class MultiPoly:
         return NotImplemented
 
     def __pow__(self, exponent: int) -> MultiPoly:
-        terms = self._terms
-        if len(terms) == 1:
-            # a monomial, raised in one step
-            [(key, num)] = terms.items()
-            key, num, den = K.monomial_power(key, num, terms.den, exponent, self.arity)
-            return MultiPoly._raw(self.arity, K.make({key: num}, den))
-        if exponent < 0:
-            # the units are the nonzero terms c*t^k, which have one term
-            raise NonUnit("negative powers need a unit base")
-        result = MultiPoly.one(self.arity)
-        base = self
-        n = exponent
-        while True:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if not n:
-                return result
-            base = base * base
+        if not isinstance(exponent, int):
+            return NotImplemented
+        return self.powers()[exponent]
+
+    def powers(self) -> Mapping[int, MultiPoly]:
+        """A table of this polynomial's powers: ``table[e]`` is ``self ** e``.
+
+        Each power is built once per table, when first asked for.  A base
+        of at most one term is raised in one step; any other base is
+        multiplied up, one product from the power below, and never
+        squared.  A negative power needs a unit base and raises NonUnit
+        otherwise.  The table keeps every power it has built.
+
+        >>> print((MultiPoly.variable(1, 1) + 1).powers()[3])
+        x1^3 + 3*x1^2 + 3*x1 + 1
+        """
+        return _PowerTable({1: self})
 
     # ------------------------------------------------------------- operations
 
@@ -316,20 +315,19 @@ class MultiPoly:
 
         All images must share one arity, which becomes the arity of the
         result.  Terms are grouped one variable at a time, and the groups
-        of each level are added in one n-ary kernel sum.  Each image's powers
-        are computed once per call, shared across all groups; that keeps
-        repeated substitution of large images linear in the number of groups
-        rather than quadratic.  A one-term image is raised in one step.
+        of each level are added in one n-ary kernel sum.  The powers of
+        each image come from one :meth:`powers` table per call, shared
+        across all groups; that keeps repeated substitution of large images
+        linear in the number of groups rather than quadratic.
 
         >>> p = MultiPoly(2, {(2, 0, 0): 1, (0, 1, 0): 1})
         >>> y1 = MultiPoly.variable(1, 1)
         >>> print(p.substitute([y1 + 1, y1 * y1]))
         2*x1^2 + 2*x1 + 1
         """
-        if len(images) != self.arity:
-            raise ArityMismatch(f"{len(images)} images for arity {self.arity}")
-        if not images:
-            raise ArityMismatch("at least one image is required")
+        n = self.arity
+        if len(images) != n:
+            raise ArityMismatch(f"{len(images)} images for arity {n}")
         m = images[0].arity
         for img in images:
             if not isinstance(img, MultiPoly):
@@ -338,8 +336,34 @@ class MultiPoly:
                 raise ArityMismatch("images have mixed arities")
         if not self._terms:
             return MultiPoly.zero(m)
-        terms = _Substitution(self.arity, images, m, self._terms.den).run(self._terms, 0)
-        return MultiPoly._raw(m, terms)
+        den = self._terms.den
+        guard = K.guard_mask(m)
+        tables = [None] * n  # each image's, made when a group first needs a power
+
+        def run(terms: dict[int, int], i: int) -> K.Terms:
+            # substitute into numerators over den whose x1..x_i are gone
+            if i == n:
+                # only t is left: move its slot from above n variables to above m
+                n_shift, m_shift = n * _W, m * _W
+                return K.canonical({key >> n_shift << m_shift: c for key, c in terms.items()}, den)
+            shift = (n - 1 - i) * _W
+            groups: dict[int, dict[int, int]] = {}
+            for key, c in terms.items():
+                e = (key >> shift) & _SLOT
+                groups.setdefault(e, {})[key - (e << shift)] = c
+            table = tables[i]
+            pieces = []
+            for e in sorted(groups, reverse=True):
+                part = run(groups[e], i + 1)
+                if e and table is None:
+                    table = tables[i] = images[i].powers()
+                pieces.append(part if e == 0 else K.mul_terms(part, table[e]._terms, guard))
+            return K.add_terms(*pieces)
+
+        try:
+            return MultiPoly._raw(m, run(self._terms, 0))
+        finally:
+            del run  # it refers to itself: break the cycle, so the tables go now
 
     def exact_divide(self, divisor: MultiPoly) -> MultiPoly | None:
         """Exact quotient with coefficients in Q[t,t^-1], or None.
@@ -532,6 +556,11 @@ def _signed(joined: str) -> str:
 # ------------------------------------------------------------- key layout
 
 
+def _check_arity(arity: int) -> None:
+    if arity < 1:
+        raise ValueError("arity must be at least 1")
+
+
 def _check_bound(powers: Sequence[int]) -> None:
     for e in powers:
         if e > K.MAX_EXPONENT:
@@ -560,51 +589,28 @@ def _degree(low: int) -> int:
     return total
 
 
-class _Substitution:
-    """One substitution pass; power tables are shared across all groups."""
+class _PowerTable(dict):
+    """Exponent -> power of the base ``self[1]``, each built on first use.
+    For a base of two or more terms, powers 1..k are always all present."""
 
-    def __init__(self, n: int, images: Sequence[MultiPoly], m: int, den: int):
-        self.n = n
-        self.images = images
-        self.m = m
-        self.den = den
-        self.guard = K.guard_mask(m)
-        # the powers of each image by exponent; a sum's fill 1..k in order
-        self._powers: list[dict[int, K.Terms]] = [{1: img._terms} for img in images]
+    __slots__ = ()
 
-    def power(self, i: int, e: int) -> K.Terms:
-        """images[i] ** e for e >= 1, each computed once per pass."""
-        powers = self._powers[i]
-        if e in powers:
-            return powers[e]
-        image = self.images[i]
-        if len(image._terms) == 1:
-            # a one-term image is raised in one step
-            power = powers[e] = (image**e)._terms
-            return power
-        k = len(powers)
-        power = powers[k]
-        while k < e:
-            k += 1
-            power = powers[k] = K.mul_terms(power, image._terms, self.guard)
+    def __missing__(self, e: int) -> MultiPoly:
+        base = self[1]
+        n, terms = base.arity, base._terms
+        if len(terms) < 2:  # zero or one term, raised in one step
+            key, num = next(iter(terms.items()), (0, 0))
+            key, num, den = K.monomial_power(key, num, terms.den, e, n)
+            power = MultiPoly._raw(n, K.make({key: num} if num else {}, den))
+        elif e < 1:
+            if e:  # the units are the nonzero terms c*t^k, which have one term
+                raise NonUnit("negative powers need a unit base")
+            power = MultiPoly.one(n)
+        else:
+            k = len(self) - (0 in self)
+            power = self[k]
+            while k < e:
+                k += 1
+                power = self[k] = MultiPoly._raw(n, K.mul_terms(power._terms, terms, K.guard_mask(n)))
+        self[e] = power
         return power
-
-    def run(self, terms: dict[int, int], i: int) -> K.Terms:
-        """Substitute into numerators over ``self.den`` whose x1..x_i are gone."""
-        n = self.n
-        if i == n:
-            # only t is left: move its slot from above n variables to above m
-            n_shift, m_shift = n * _W, self.m * _W
-            return K.canonical({key >> n_shift << m_shift: c for key, c in terms.items()}, self.den)
-        shift = (n - 1 - i) * _W
-        groups: dict[int, dict[int, int]] = {}
-        for key, c in terms.items():
-            e = (key >> shift) & _SLOT
-            groups.setdefault(e, {})[key - (e << shift)] = c
-        guard = self.guard
-        pieces = []
-        for e in sorted(groups, reverse=True):
-            part = self.run(groups[e], i + 1)
-            pieces.append(part if e == 0 else K.mul_terms(part, self.power(i, e), guard))
-        return K.add_terms(*pieces)
-

@@ -65,7 +65,6 @@ _TERM_RE = re.compile(
     rf"|t(?:\^(-?{_POWER}|-1))?)"
 )
 _FACTOR_RE = re.compile(r"x(\d+)(?:\^(\d+))?")
-_INDEX_RE = re.compile(r"x(\d+)")
 _DIGITS_RE = re.compile(r"\d+")
 _OPENING = ("", "-")  # the separators of a first term
 
@@ -181,17 +180,14 @@ def _read(text: str, arity: int) -> tuple[list[int], list[int], list[int]]:
             return keys, nums, dens
 
 
-def parse_poly(text: str, arity: int | None = None) -> MultiPoly:
-    """Read a polynomial in x1..xn over Q[t,t^-1] from its canonical text.
+def parse_poly(text: str, arity: int) -> MultiPoly:
+    """Read a polynomial of the given arity over Q[t,t^-1] from its canonical text.
 
-    When arity is omitted it is inferred as the largest variable index that
-    occurs (at least 1).  An arity outside 1..MAX_ARITY is a ParseError.
+    An arity outside 1..MAX_ARITY is a ParseError.
 
-    >>> print(parse_poly('(-1/2*t^-1)*x1^2 + x2'))
+    >>> print(parse_poly('(-1/2*t^-1)*x1^2 + x2', 2))
     (-1/2*t^-1)*x1^2 + x2
     """
-    if arity is None:
-        arity = max([1, *map(_digits, _INDEX_RE.findall(text))])
     if not 1 <= arity <= MAX_ARITY:
         raise ParseError(f"arity {_clip(str(arity))} is outside 1..{MAX_ARITY}")
     if text == "0":

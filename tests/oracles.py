@@ -6,7 +6,9 @@ elimination over Fraction. It shares no code with the elimination-based
 `exact_divide` it is checking.  The variable-order oracle tries all n!
 orders, testing each against the definition of a triangular map, where
 the library walks a dependency graph.  The exponential
-oracles sum each series in its own loop, as written in the paper.
+oracles sum each series in its own loop, as written in the paper.  The
+substitution oracle expands term by term, where the library groups terms
+one variable at a time and shares each image's powers.
 """
 
 import itertools
@@ -213,6 +215,28 @@ def ref_decode(terms, arity, slot_bits):
     return {
         ref_unpack(key, arity, slot_bits): Fraction(num, terms.den) for key, num in terms.items()
     }
+
+
+# ------------------------------------------------------------ substitution
+#
+# Substitution summed term by term on the reference dicts above: each term's
+# coefficient c*t^k, moved to the images' arity by decoding and re-encoding
+# its key, times each image power, taken by repeated multiplication.
+
+
+def ref_substitute(poly, images):
+    """poly at x_i = images[i-1], a MultiPoly of the images' arity."""
+    m = images[0].arity
+    image_terms = [dict(image.terms()) for image in images]
+    total = {}
+    for key, c in poly.terms():
+        *powers, t_exp = key
+        value = {(0,) * m + (t_exp,): c}
+        for image, e in zip(image_terms, powers):
+            for _ in range(e):
+                value = ref_mul(value, image)
+        total = ref_add(total, value)
+    return MultiPoly(m, total)
 
 
 # --------------------------------------------------------- variable orders

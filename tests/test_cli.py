@@ -147,10 +147,14 @@ def test_smith_document(tmp_path, capsys):
         (["family", "--l", "4"], "a18d015d5be5c6e6"),
         (["specialize", "--l", "4", "--alpha=-7/11"], "f0070f399ea916d5"),
         (["smith", "--l", "3"], "744ca1ad0ebb3b8c"),
+        # sizes where an image's power table grows long
+        (["family", "--l", "6"], "bc8aeb2819c6e897"),
+        (["specialize", "--l", "6", "--alpha=5/3"], "eb796853e1c17513"),
+        (["smith", "--l", "5"], "8fce3f418c14e9f0"),
     ],
     ids=[
         "family", "specialize nonzero", "specialize zero", "smith", "conjugation",
-        "family l4", "specialize l4", "smith l3",
+        "family l4", "specialize l4", "smith l3", "family l6", "specialize l6", "smith l5",
     ],
 )
 def test_output_matches_pinned_digests(capsys, argv, prefix):

@@ -166,7 +166,7 @@ def _mutate(value):
         except ValueError:
             pass
         try:
-            return str(parse_poly(value) + 1)
+            return str(parse_poly(value, 4) + 1)
         except ParseError:
             return value + " + 1"
     raise TypeError(f"no mutation for {value!r}")
@@ -293,7 +293,7 @@ def test_verify_parses_each_copied_text_once(docs, monkeypatch):
     # image's text is that image lifted, not parsed again
     parsed = []
 
-    def counting(text, arity=None):
+    def counting(text, arity):
         parsed.append(text)
         return parse_poly(text, arity)
 
@@ -434,7 +434,7 @@ def _leaf_edits(path, leaf):
             yield name, new
         return
     try:
-        poly = parse_poly(leaf)
+        poly = parse_poly(leaf, 4)
     except ParseError:
         yield "changed", leaf + "x"
         yield "leading space", f" {leaf}"

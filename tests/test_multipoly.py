@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_poly, rand_poly_nonzero
-from oracles import divide_by_linear_system, ref_render
+from oracles import divide_by_linear_system, ref_render, ref_substitute
 from polydegen import parse_poly
+from polydegen import _kernel as K
 from polydegen._kernel import MAX_EXPONENT
 from polydegen.errors import (
     ArityMismatch,
@@ -36,6 +37,13 @@ def test_constructors():
         MultiPoly.variable(3, 4)
     with pytest.raises(ArityMismatch):
         MultiPoly(3, {(1, 2, 0): 1})
+    # no constructor builds a polynomial without a variable
+    builders = (MultiPoly, MultiPoly.zero, MultiPoly.one, MultiPoly.parameter,
+                lambda n: MultiPoly.constant(n, 3), lambda n: MultiPoly.sum(n, []))
+    for build in builders:
+        for arity in (0, -2):
+            with pytest.raises(ValueError, match="arity must be at least 1"):
+                build(arity)
 
 
 def test_zero_coefficients_are_dropped():
@@ -80,6 +88,45 @@ def test_pow():
     assert (P("(t)") ** -2) == P("(t^-2)")
     with pytest.raises(NonUnit):
         p**-1
+    # a base of three terms, t^-1 among them, is multiplied up
+    q = P("(-2/3*t^-1)*x1^2 + (t^2)*x2 - 5")
+    product = MultiPoly.one(3)
+    for e in range(9):
+        assert q**e == product
+        product = product * q
+    zero = MultiPoly.zero(3)
+    assert zero**0 == MultiPoly.one(3)
+    assert all(zero**e == zero for e in (1, 2, 9))
+    assert P("(-2/3*t^5)") ** -2 == P("(9/4*t^-10)")
+    with pytest.raises(NonUnit):
+        q**-2
+    # an exponent that is not an int has no power, even of a monomial
+    for base in (q, P("(t)*x1")):
+        for exponent in (0.5, 2.0, Fraction(1, 2)):
+            with pytest.raises(TypeError):
+                base**exponent
+
+
+def test_a_power_table_builds_each_power_once(monkeypatch):
+    p = P("x1 + (t^-1)*x2 + 3")
+    expected = {e: p**e for e in (3, 6)}
+    products = []
+    mul_terms = K.mul_terms
+
+    def counting(a, b, guard):
+        products.append((len(a), len(b)))
+        return mul_terms(a, b, guard)
+
+    monkeypatch.setattr(K, "mul_terms", counting)
+    table = p.powers()
+    assert table[0] == MultiPoly.one(3)
+    assert table[6] == expected[6]
+    assert table[3] == expected[3]
+    assert table[6] == expected[6]
+    assert len(products) == 5
+    # a one-term base is raised in one step, with no product
+    assert P("(2*t^-1)*x1*x3").powers()[7] == P("(128*t^-7)*x1^7*x3^7")
+    assert len(products) == 5
 
 
 def test_degrees_and_involvement():
@@ -134,6 +181,74 @@ def test_substitute_fixed_points_and_arity_change():
     assert p.substitute(into_two) == parse_poly("x1*x2 + (t)", arity=2)
     with pytest.raises(ArityMismatch):
         p.substitute(identity[:2])
+
+
+# Substitutions checked against the term-by-term oracle, each named for
+# what it exercises: (p, its arity, the images, their arity).
+SUBSTITUTIONS = {
+    "fewer variables out": ("x1^2*x3 + (t^-1)*x2 - 1/2", 3, ("x1 + x2", "(t)*x2^2", "x1 - 3"), 2),
+    "more variables out": ("x2^3 + (t^2)*x1*x2", 2, ("x1*x4 + x3", "x2 + (-2*t^-1)"), 4),
+    "negative powers of t and denominators sharing primes": (
+        "(1/6*t^-2)*x1^2 + (3/4*t^-1)*x2", 2, ("(2/9*t^-1)*x1 + 1/4", "(-5/12*t^-3)*x2 + 1/6"), 2,
+    ),
+    "zero and one-term images": ("x1^3*x2 + x2^2*x3 + x3", 3, ("0", "(-2/3*t^-1)*x1^2", "x2"), 3),
+    "fixed variables": ("x1^2*x2*x3 + (t)*x2^3", 3, ("x1", "x1^2 + x2", "x3"), 3),
+    "a permutation of the variables": ("x1^3*x2 + x2*x3^2 + (-t^-1)*x3", 3, ("x3", "x1", "x2"), 3),
+    "degree order unlike index order": (
+        "x1*x3^5 + x2^2*x3^4 + x1^2", 3, ("x1 + x2", "x2 - x3", "x1 + x3 + (t)"), 3,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", SUBSTITUTIONS.values(), ids=SUBSTITUTIONS.keys())
+def test_substitute_matches_the_term_by_term_oracle(case):
+    text, n, image_texts, m = case
+    p = P(text, n)
+    images = [P(image, m) for image in image_texts]
+    assert p.substitute(images) == ref_substitute(p, images)
+
+
+# denominators built from 2 and 3, so that they share primes
+_COEFFS = st.builds(
+    Fraction, st.integers(-12, 12).filter(bool), st.sampled_from((1, 2, 3, 4, 6, 9, 12))
+)
+
+
+def _laurent_polys(arity, max_terms, max_degree):
+    """Polynomials of the arity with powers of t from t^-3 to t^3, zero included."""
+    keys = st.tuples(*(st.integers(0, max_degree) for _ in range(arity)), st.integers(-3, 3))
+    return st.dictionaries(keys, _COEFFS, max_size=max_terms).map(
+        lambda terms: MultiPoly(arity, terms)
+    )
+
+
+@st.composite
+def substitutions(draw):
+    """(p, images): p of arity n and n images of arity m, for 1 <= n, m <= 4.
+
+    An image is a sum, at most one term, any variable, or x_i itself (a
+    fixed variable); when m = n the images may instead permute the
+    variables.  p's degrees in x1..xn fall in any order.
+    """
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    p = draw(_laurent_polys(n, 6, 3))
+    variables = [MultiPoly.variable(m, j) for j in range(1, m + 1)]
+    if m == n and draw(st.booleans()):
+        return p, [variables[j] for j in draw(st.permutations(range(n)))]
+    images = []
+    for i in range(n):
+        kinds = [_laurent_polys(m, 3, 2), _laurent_polys(m, 1, 3), st.sampled_from(variables)]
+        if i < m:
+            kinds.append(st.just(variables[i]))
+        images.append(draw(st.one_of(kinds)))
+    return p, images
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(substitutions())
+def test_substitute_matches_the_oracle_on_random_inputs(case):
+    p, images = case
+    assert p.substitute(images) == ref_substitute(p, images)
 
 
 def test_exact_divide_agrees_with_linear_system_oracle():

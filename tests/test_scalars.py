@@ -72,7 +72,7 @@ def test_units_by_mode():
     assert L("5").is_unit()
     assert not L("(1 + t)").is_unit()
     assert not ZERO.is_unit()
-    assert not parse_poly("x1").is_unit()
+    assert not parse_poly("x1", 1).is_unit()
     assert monomial * monomial**-1 == ONE
     assert L("5") ** -1 == L("1/5")
     with pytest.raises(NonUnit):
