@@ -68,8 +68,6 @@ def check_wild_at_zero(delta: TriangularDerivation, h: MultiPoly) -> WildnessRep
     for name, poly in (("delta(x1)", f1), ("delta(x2)", f2), ("delta(x3)", f3), ("h", h)):
         if not poly.is_t_regular():
             raise HypothesisViolation(f"{name} is not regular at t = 0")
-    if not f1.is_constant():
-        raise HypothesisViolation("delta(x1) must be a scalar")
     if not f1.specialize_t(0).is_zero():
         raise HypothesisViolation("delta(x1) must vanish at t = 0")
     if not delta.apply(h).is_zero():

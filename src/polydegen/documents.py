@@ -13,10 +13,11 @@ type, a dict field exactly its keys and a list field items of its type;
 it reads a polynomial or a rational only as the canonical text that
 ``str`` writes.  It reparses every field from text and recomputes every
 identity from scratch, so an edit to an embedded value either makes the
-document unreadable or flips at least one transcript line.  Two edits
-keep a document verified: the ``l`` that a document of any kind but
-family may state, which no identity checks yet, and a polynomial
-coefficient rewritten out of lowest terms, which reads at its value.
+document unreadable or flips at least one transcript line.  One edit
+keeps a document verified: a polynomial coefficient rewritten out of
+lowest terms, which reads at its value.  A wildness, tameness_word or
+stabilization document may leave out ``l``; when it states one, its
+first identity checks that the derivation and h are that family member.
 
 This module is the only reader of documents: ``read_document`` reads a
 file, ``verify_report`` writes what ``verify`` prints, and ``family_l``
@@ -346,13 +347,25 @@ _CONJUGATES = (
 def _pair_fields(doc: dict, poly) -> SimpleNamespace:
     """The pair (derivation, h) that every kind states, read in that order
     with the polynomial reader ``poly``: ``f.delta_images``, ``f.h`` and the
-    derivation ``f.delta()``.  Reads the ``l`` a document may state, too,
-    which no identity checks yet."""
-    if "l" in doc:
-        _field(doc, "l", int)
-    f = SimpleNamespace(delta_images=_field(doc, "derivation", [poly]), h=_field(doc, "h", poly))
+    derivation ``f.delta()``, after the ``l`` a document may state: ``f.l``,
+    None when it states none."""
+    l = _field(doc, "l", int) if "l" in doc else None
+    f = SimpleNamespace(l=l, delta_images=_field(doc, "derivation", [poly]), h=_field(doc, "h", poly))
     f.delta = cache(lambda: TriangularDerivation(f.delta_images))
     return f
+
+
+# the first entry of a wildness, word or stabilization document that states
+# its l; an honest h has 2l + 3 terms, which bounds the member built
+_IS_MEMBER = (
+    "derivation and h are family member l",
+    lambda f: 1 <= f.l <= f.h.term_count() and _is_member(f.l, f.delta_images, f.h),
+)
+
+
+def _stated_member(f: SimpleNamespace) -> tuple:
+    """The entries that check the l a document states: none when it states none."""
+    return () if f.l is None else (_IS_MEMBER,)
 
 
 def _conjugation_fields(doc: dict, poly) -> SimpleNamespace:
@@ -500,6 +513,7 @@ def _verify_wildness(doc: dict) -> tuple:
     f.fiber_images = _field(doc, "fiber_at_zero", [poly])
     f.report = cache(lambda: check_wild_at_zero(f.delta(), f.h))
     return f, (
+        *_stated_member(f),
         (
             "derivation and h are regular at t = 0",
             lambda f: all(g.is_t_regular() for g in f.delta_images) and f.h.is_t_regular(),
@@ -538,6 +552,7 @@ def _verify_word(doc: dict) -> tuple:
     f.fiber = cache(lambda: PolyEndo(f.fiber_images))
     f.factors = [cache(lambda imgs=imgs: PolyEndo(imgs)) for imgs in factors]
     return f, (
+        *_stated_member(f),
         (
             "factors compose to the fiber",
             lambda f: PolyEndo.compose_chain([factor() for factor in f.factors]) == f.fiber(),
@@ -605,6 +620,7 @@ def _verify_stabilization(doc: dict) -> tuple:
         return gamma.verify_inverse_pair(gamma_inv) and rho.verify_inverse_pair(rho_inv)
 
     checks = [
+        *_stated_member(f),
         _KILLS_H,
         ("base is exp(h*delta)", lambda f: f.base() == f.delta().exp(f.h)),
         (

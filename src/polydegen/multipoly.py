@@ -318,7 +318,8 @@ class MultiPoly:
         of each level are added in one n-ary kernel sum.  The powers of
         each image come from one :meth:`powers` table per call, shared
         across all groups; that keeps repeated substitution of large images
-        linear in the number of groups rather than quadratic.
+        linear in the number of groups rather than quadratic.  A table
+        builds only the powers some group reads.
 
         >>> p = MultiPoly(2, {(2, 0, 0): 1, (0, 1, 0): 1})
         >>> y1 = MultiPoly.variable(1, 1)
@@ -328,42 +329,16 @@ class MultiPoly:
         n = self.arity
         if len(images) != n:
             raise ArityMismatch(f"{len(images)} images for arity {n}")
-        m = images[0].arity
         for img in images:
             if not isinstance(img, MultiPoly):
                 raise TypeError("images must be MultiPoly instances")
-            if img.arity != m:
+            if img.arity != images[0].arity:
                 raise ArityMismatch("images have mixed arities")
+        m = images[0].arity
         if not self._terms:
             return MultiPoly.zero(m)
-        den = self._terms.den
-        guard = K.guard_mask(m)
-        tables = [None] * n  # each image's, made when a group first needs a power
-
-        def run(terms: dict[int, int], i: int) -> K.Terms:
-            # substitute into numerators over den whose x1..x_i are gone
-            if i == n:
-                # only t is left: move its slot from above n variables to above m
-                n_shift, m_shift = n * _W, m * _W
-                return K.canonical({key >> n_shift << m_shift: c for key, c in terms.items()}, den)
-            shift = (n - 1 - i) * _W
-            groups: dict[int, dict[int, int]] = {}
-            for key, c in terms.items():
-                e = (key >> shift) & _SLOT
-                groups.setdefault(e, {})[key - (e << shift)] = c
-            table = tables[i]
-            pieces = []
-            for e in sorted(groups, reverse=True):
-                part = run(groups[e], i + 1)
-                if e and table is None:
-                    table = tables[i] = images[i].powers()
-                pieces.append(part if e == 0 else K.mul_terms(part, table[e]._terms, guard))
-            return K.add_terms(*pieces)
-
-        try:
-            return MultiPoly._raw(m, run(self._terms, 0))
-        finally:
-            del run  # it refers to itself: break the cycle, so the tables go now
+        tables = [img.powers() for img in images]
+        return MultiPoly._raw(m, _substitute(self._terms, 0, tables, self._terms.den, m))
 
     def exact_divide(self, divisor: MultiPoly) -> MultiPoly | None:
         """Exact quotient with coefficients in Q[t,t^-1], or None.
@@ -587,6 +562,28 @@ def _degree(low: int) -> int:
         total += low & _SLOT
         low >>= _W
     return total
+
+
+def _substitute(terms: dict[int, int], i: int, tables: list, den: int, m: int) -> K.Terms:
+    """The numerators ``terms`` over ``den``, in which x1..x_i no longer
+    occur, with x_(i+1)..x_n replaced by the bases of ``tables[i:]``,
+    polynomials of arity m."""
+    n = len(tables)
+    if i == n:
+        # only t is left: move its slot from above n variables to above m
+        n_shift, m_shift = n * _W, m * _W
+        return K.canonical({key >> n_shift << m_shift: c for key, c in terms.items()}, den)
+    shift = (n - 1 - i) * _W
+    groups: dict[int, dict[int, int]] = {}
+    for key, c in terms.items():
+        e = (key >> shift) & _SLOT
+        groups.setdefault(e, {})[key - (e << shift)] = c
+    table, guard = tables[i], K.guard_mask(m)
+    pieces = []
+    for e in sorted(groups, reverse=True):
+        part = _substitute(groups[e], i + 1, tables, den, m)
+        pieces.append(part if e == 0 else K.mul_terms(part, table[e]._terms, guard))
+    return K.add_terms(*pieces)
 
 
 class _PowerTable(dict):

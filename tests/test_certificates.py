@@ -92,6 +92,8 @@ def test_wildness_hypotheses_are_checked(families):
     )
     with pytest.raises(HypothesisViolation):
         check_wild_at_zero(two_var, parse_poly("0", arity=2))
+    with pytest.raises(HypothesisViolation):
+        check_wild_at_zero(fam.delta, parse_poly("x4", arity=4))
 
 
 # --------------------------------------------------------------- conjugation

@@ -140,17 +140,17 @@ def test_smith_document(tmp_path, capsys):
     "argv, prefix",
     [
         (["family", "--l", "2"], "04ee3c8b6af4a5b1"),
-        (["specialize", "--l", "3", "--alpha=5/3"], "781f842c09e3b73d"),
-        (["specialize", "--l", "3", "--alpha=0"], "0507e510cbde191e"),
-        (["smith", "--l", "2"], "7c3d73d900805dcb"),
+        (["specialize", "--l", "3", "--alpha=5/3"], "0c1e55b441f89523"),
+        (["specialize", "--l", "3", "--alpha=0"], "100a3c3f7e8a353b"),
+        (["smith", "--l", "2"], "7a973fff06b9776c"),
         (None, "ee83639c3b24d574"),
         (["family", "--l", "4"], "a18d015d5be5c6e6"),
-        (["specialize", "--l", "4", "--alpha=-7/11"], "f0070f399ea916d5"),
-        (["smith", "--l", "3"], "744ca1ad0ebb3b8c"),
+        (["specialize", "--l", "4", "--alpha=-7/11"], "bba97ed5016892ce"),
+        (["smith", "--l", "3"], "590ec1b3da23330c"),
         # sizes where an image's power table grows long
         (["family", "--l", "6"], "bc8aeb2819c6e897"),
-        (["specialize", "--l", "6", "--alpha=5/3"], "eb796853e1c17513"),
-        (["smith", "--l", "5"], "8fce3f418c14e9f0"),
+        (["specialize", "--l", "6", "--alpha=5/3"], "3568b8de708d30b5"),
+        (["smith", "--l", "5"], "d77b44d28650c80d"),
     ],
     ids=[
         "family", "specialize nonzero", "specialize zero", "smith", "conjugation",
@@ -168,7 +168,9 @@ def test_output_matches_pinned_digests(capsys, argv, prefix):
     assert hashlib.sha256(payload.encode("utf-8")).hexdigest().startswith(prefix)
 
 
-@pytest.mark.parametrize("fmt, prefix", [("text", "29bd1afe24f876a4"), ("json", "7f4286d9d10248e9")])
+@pytest.mark.parametrize(
+    "fmt, prefix", [("text", "30330a9342a05c1b"), ("json", "798dc602a75ff356")], ids=["text", "json"]
+)
 def test_verify_reports_match_pinned_digests(tmp_path, capsys, fmt, prefix):
     # SHA-256 of verify's report on the smith l = 1 document, as earlier
     # versions print it
@@ -304,6 +306,35 @@ def test_verify_parse_problems_exit_two(tmp_path, capsys):
         code, _, err = run(["verify", "--in", str(extended)], capsys)
         assert code == 2
         assert f"field {field!r} should have exactly the keys" in err
+    # and a list field has at least one item
+    doc = json.loads(run(["specialize", "--l", "1", "--alpha=5/3"], capsys)[1])
+    doc["factors"] = []
+    no_factors = tmp_path / "no_factors.json"
+    no_factors.write_text(json.dumps(doc))
+    code, _, err = run(["verify", "--in", str(no_factors)], capsys)
+    assert code == 2
+    assert "field 'factors' must not be empty" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["specialize", "--l", "1", "--alpha=0"], ["specialize", "--l", "2", "--alpha=5/3"],
+     ["smith", "--l", "1"]],
+    ids=["wildness", "tameness_word", "stabilization"],
+)
+@pytest.mark.parametrize("l", [7, 0, 1_000_000])
+def test_verify_fails_a_document_that_states_another_member(tmp_path, capsys, argv, l):
+    # l = 1000000 is past the term count of h, so no member is built
+    doc = json.loads(run(argv, capsys)[1])
+    doc["l"] = l
+    relabelled = tmp_path / "relabelled.json"
+    relabelled.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, stdout, _ = run(["verify", "--in", str(relabelled)], capsys)
+    assert code == 1
+    assert time.perf_counter() - start < 1.0
+    assert stdout.startswith("FAIL  derivation and h are family member l\n")
+    assert stdout.count("FAIL") == 2  # that line and the result
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,7 @@ from conftest import rand_poly
 from oracles import reference_exp, reference_sigma
 from polydegen import parse_poly
 from polydegen.derivation import TriangularDerivation
-from polydegen.errors import KernelViolation, NonUnit, NotTriangular
+from polydegen.errors import ArityMismatch, KernelViolation, NonUnit, NotTriangular
 from polydegen.multipoly import MultiPoly
 
 
@@ -164,6 +164,15 @@ def test_extend_arity(delta):
     assert wide.arity == 4
     assert wide.apply(parse_poly("x4", arity=4)).is_zero()
     assert wide.apply(parse_poly("x2", arity=4)) == parse_poly("x1", arity=4)
+    with pytest.raises(ArityMismatch):
+        delta.extend_arity(2)
+
+
+def test_a_polynomial_of_another_arity_is_refused(delta):
+    x1 = parse_poly("x1", arity=4)
+    for method in (delta.apply, delta.exp, delta.sigma):
+        with pytest.raises(ArityMismatch):
+            method(x1)
 
 
 def test_str(delta):

@@ -97,6 +97,23 @@ def test_family_l_reads_only_a_document_that_holds_its_member(docs):
         assert not all_pass(edited)[0], name
 
 
+def test_only_a_document_that_states_its_l_checks_its_member(docs):
+    member = "derivation and h are family member l"
+    cert = family(1)
+    word = specialized_tameness(cert, 2)
+    unlabelled = {
+        "wildness": wildness_document(cert.delta, cert.h),
+        "tameness_word": word_document(word, cert.delta, cert.h),
+        "stabilization": stabilization_document(build_stabilization(cert.delta, cert.h)),
+    }
+    for kind, doc in unlabelled.items():
+        assert "l" not in doc
+        assert member not in [entry["identity"] for entry in doc["transcript"]]
+        assert docs[kind]["transcript"] == [{"identity": member, "pass": True}, *doc["transcript"]]
+    for kind in ("family", "conjugation"):
+        assert member not in [entry["identity"] for entry in docs[kind]["transcript"]]
+
+
 def test_verify_rejects_wrong_envelope(docs):
     doc = copy.deepcopy(docs["family"])
     doc["format_version"] = 99
@@ -205,6 +222,7 @@ PERTURBATION_PATHS = {
         ("automorphism", 2),
     ],
     "wildness": [
+        ("l",),
         ("derivation", 2),
         ("h",),
         ("flags", "f2_residue_nonzero"),
@@ -216,6 +234,7 @@ PERTURBATION_PATHS = {
         ("fiber_at_zero", 0),
     ],
     "tameness_word": [
+        ("l",),
         ("alpha",),
         ("derivation", 2),
         ("h",),
@@ -225,6 +244,7 @@ PERTURBATION_PATHS = {
         ("fiber", 0),
     ],
     "stabilization": [
+        ("l",),
         ("derivation", 0),
         ("h",),
         ("base", 0),
@@ -506,9 +526,6 @@ def _verify_exit(doc, args):
 # (kind or None for any, top-level field or None for any, edit or None for
 # any) -> why that edit may leave a document verified
 ALLOWED_EDITS = {
-    ("wildness", "l", None): "no identity reads the l a specialized document states yet",
-    ("tameness_word", "l", None): "no identity reads the l a specialized document states yet",
-    ("stabilization", "l", None): "no identity reads the l a stabilization document states yet",
     (None, None, "coefficient out of lowest terms"): "a polynomial coefficient reads at its "
     "value; refusing it would change how the benchmark's tampered copies read",
 }

@@ -91,6 +91,10 @@ def test_arity_checks():
         endo("x1", "x2").apply(parse_poly("x1", arity=3))
     with pytest.raises(ArityMismatch):
         PolyEndo((parse_poly("x1", arity=2), parse_poly("x1", arity=3)))
+    with pytest.raises(ArityMismatch):
+        PolyEndo.compose_chain(())
+    with pytest.raises(ArityMismatch):
+        endo("x1 + x2", "x2").extend_arity(1)
 
 
 def test_triangular_detection():

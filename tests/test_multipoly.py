@@ -1,5 +1,6 @@
 """Sparse multivariate polynomials over the Laurent coefficient ring."""
 
+import gc
 import random
 from fractions import Fraction
 
@@ -181,6 +182,24 @@ def test_substitute_fixed_points_and_arity_change():
     assert p.substitute(into_two) == parse_poly("x1*x2 + (t)", arity=2)
     with pytest.raises(ArityMismatch):
         p.substitute(identity[:2])
+    with pytest.raises(ArityMismatch):
+        p.substitute([*identity[:2], MultiPoly.variable(2, 1)])
+    for images in ([1, *identity[1:]], [identity[0], Fraction(1, 2), identity[2]]):
+        with pytest.raises(TypeError):
+            p.substitute(images)
+
+
+def test_substitute_leaves_no_cyclic_garbage():
+    # the power tables go with the call, without the cycle collector
+    p = P("x1^3*x2 + x2^2*x3 + (t)*x3")
+    images = [P("x1 + x2"), P("x2 + (-t)"), P("x1*x3 + 1")]
+    gc.collect()
+    gc.disable()
+    try:
+        p.substitute(images)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # Substitutions checked against the term-by-term oracle, each named for
