@@ -97,7 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     family = sub.add_parser("family", help="emit the full family document for one l")
     family.add_argument("--l", type=_positive_int, required=True, help="family index, at least 1")
-    _output_flags(family)
     family.set_defaults(func=cmd_family)
 
     specialize = sub.add_parser(
@@ -108,28 +107,19 @@ def build_parser() -> argparse.ArgumentParser:
     member.add_argument("--l", type=_positive_int, help="family index, at least 1")
     member.add_argument("--in", dest="input", metavar="PATH", help="family document to read l from")
     specialize.add_argument("--alpha", type=_rational, required=True, help="rational value for t")
-    _output_flags(specialize)
     specialize.set_defaults(func=cmd_specialize)
 
     smith = sub.add_parser("smith", help="emit the four-factor stabilization document")
     smith.add_argument("--l", type=_positive_int, required=True, help="family index, at least 1")
-    _output_flags(smith)
     smith.set_defaults(func=cmd_smith)
 
     verify = sub.add_parser("verify", help="recompute every identity in a document")
     verify.add_argument("--in", dest="input", metavar="PATH", required=True)
     verify.add_argument("--format", choices=("json", "text"), default="text")
-    verify.add_argument("--out", metavar="PATH")
     verify.set_defaults(func=cmd_verify)
+    for command in (family, specialize, smith, verify):
+        command.add_argument("--out", metavar="PATH", help="write the payload here instead of stdout")
     return parser
-
-
-def _output_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--out", metavar="PATH", help="write the payload here instead of stdout")
-
-
-def _emit(doc: dict, args: argparse.Namespace) -> None:
-    _write(dumps(doc), args.out)
 
 
 def _write(payload: str, out: str | None) -> None:
@@ -142,12 +132,11 @@ def _write(payload: str, out: str | None) -> None:
         sys.stdout.write(payload)
 
 
-def cmd_family(args: argparse.Namespace) -> int:
-    _emit(family_document(args.l, build_conjugation(*build_family(args.l))), args)
-    return 0
+def cmd_family(args: argparse.Namespace) -> tuple[str, int]:
+    return dumps(family_document(args.l, build_conjugation(*build_family(args.l)))), 0
 
 
-def cmd_specialize(args: argparse.Namespace) -> int:
+def cmd_specialize(args: argparse.Namespace) -> tuple[str, int]:
     l = args.l if args.input is None else family_l(read_document(args.input))
     delta, h = build_family(l)
     if args.alpha == 0:
@@ -155,25 +144,24 @@ def cmd_specialize(args: argparse.Namespace) -> int:
     else:
         word = specialized_tameness(build_conjugation(delta, h), args.alpha)
         doc = word_document(word, delta, h, l=l)
-    _emit(doc, args)
-    return 0
+    return dumps(doc), 0
 
 
-def cmd_smith(args: argparse.Namespace) -> int:
-    _emit(stabilization_document(build_stabilization(*build_family(args.l)), l=args.l), args)
-    return 0
+def cmd_smith(args: argparse.Namespace) -> tuple[str, int]:
+    return dumps(stabilization_document(build_stabilization(*build_family(args.l)), l=args.l)), 0
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     payload, verified = verify_report(read_document(args.input), args.format)
-    _write(payload, args.out)
-    return 0 if verified else 1
+    return payload, 0 if verified else 1
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        payload, code = args.func(args)
+        _write(payload, args.out)
+        return code
     except (ParseError, OSError) as exc:
         _report(exc)
         return 2

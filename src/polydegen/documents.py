@@ -355,12 +355,26 @@ def _pair_fields(doc: dict, poly) -> SimpleNamespace:
     return f
 
 
-# the first entry of a wildness, word or stabilization document that states
-# its l; an honest h has 2l + 3 terms, which bounds the member built
-_IS_MEMBER = (
-    "derivation and h are family member l",
-    lambda f: 1 <= f.l <= f.h.term_count() and _is_member(f.l, f.delta_images, f.h),
-)
+def _is_member(f: SimpleNamespace) -> bool:
+    """Whether the pair that ``_pair_fields`` read is family member ``f.l``,
+    cheapest test first.  An honest h has 2l + 3 terms, so l is bounded by
+    the term count of h before any member is built, and neither the check
+    nor a rebuild outgrows the document.  x1/t is a slice, so an element of
+    the kernel is fixed by its value at x1 = 0."""
+    if not 1 <= f.l <= f.h.term_count():
+        return False
+    delta = family_derivation(f.l)
+    x2, x3 = MultiPoly.variable(3, 2), MultiPoly.variable(3, 3)
+    return (
+        f.delta_images == delta.images
+        and delta.apply(f.h).is_zero()
+        and f.h.substitute([MultiPoly.zero(3), x2, x3])
+        == family_potential(f.l, slice_coefficients(f.l)[f.l])
+    )
+
+
+# the first entry of a wildness, word or stabilization document that states its l
+_IS_MEMBER = ("derivation and h are family member l", _is_member)
 
 
 def _stated_member(f: SimpleNamespace) -> tuple:
@@ -659,32 +673,12 @@ def _verify_stabilization(doc: dict) -> tuple:
     return f, checks
 
 
-def _is_member(l: int, delta_images: tuple, h: MultiPoly) -> bool:
-    """Whether (derivation, h) is family member l, cheapest test first.  x1/t
-    is a slice, so an element of the kernel is fixed by its value at x1 = 0."""
-    delta = family_derivation(l)
-    x2, x3 = MultiPoly.variable(3, 2), MultiPoly.variable(3, 3)
-    return (
-        delta_images == delta.images
-        and delta.apply(h).is_zero()
-        and h.substitute([MultiPoly.zero(3), x2, x3])
-        == family_potential(l, slice_coefficients(l)[l])
-    )
-
-
 def family_l(doc: dict) -> int:
-    """The l of a family document that holds member l, for ``specialize --in``.
-    l is bounded first by the term count of h (an honest h has 2l + 3 terms),
-    so neither the check nor the rebuild outgrows the document."""
+    """The l of a family document that holds member l, for ``specialize --in``."""
     if document_kind(doc) != "family":
         raise ParseError("--in expects a family document")
     l = _field(doc, "l", int)
-    poly = partial(parse_poly, arity=3)
-    h = _field(doc, "h", poly)
-    terms = h.term_count()
-    if not 1 <= l <= terms:
-        raise ParseError(f"family document's l is outside 1..{terms}, the term count of its h")
-    if not _is_member(l, _field(doc, "derivation", [poly]), h):
+    if not _is_member(_pair_fields(doc, partial(parse_poly, arity=3))):
         raise ParseError(f"family document's derivation and h are not family member {l}")
     return l
 

@@ -254,9 +254,7 @@ class MultiPoly:
         if type(other) is not MultiPoly:
             if isinstance(other, (int, Fraction)):
                 return MultiPoly._raw(self.arity, K.scale_terms(self._terms, other))
-            other = self._coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
+            return NotImplemented
         elif other.arity != self.arity:
             raise ArityMismatch(f"arity {self.arity} vs {other.arity}")
         return MultiPoly._raw(

@@ -369,7 +369,7 @@ def test_an_unreadable_document_exits_two(tmp_path, command, content):
 def test_specialize_rejects_an_l_its_family_document_cannot_hold(tmp_path, capsys):
     # an honest family document's h has 2l + 3 terms, so its l is at most
     # that count; verify exits 1 on this document, and specialize must not
-    # rebuild the family at l = 100000
+    # rebuild the family at l = 100000 but refuse it as any other non-member
     doc = json.loads(run(["family", "--l", "1"], capsys)[1])
     doc["l"] = 100_000
     bad = tmp_path / "huge_l.json"
@@ -384,7 +384,14 @@ def test_specialize_rejects_an_l_its_family_document_cannot_hold(tmp_path, capsy
     assert result.returncode == 2, result.stderr
     assert time.perf_counter() - start < 5.0
     assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
-    assert "the term count of its h" in result.stderr
+    assert result.stderr == "error: family document's derivation and h are not family member 100000\n"
+
+
+def test_specialize_rejects_a_document_that_is_not_a_family_document(tmp_path, capsys):
+    smith = tmp_path / "smith.json"
+    assert run(["smith", "--l", "1", "--out", str(smith)], capsys)[0] == 0
+    code, stdout, err = run(["specialize", "--alpha=5/3", "--in", str(smith)], capsys)
+    assert (code, stdout, err) == (2, "", "error: --in expects a family document\n")
 
 
 def test_specialize_rejects_a_family_document_that_does_not_hold_its_member(tmp_path, capsys):
@@ -632,6 +639,11 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["family", "--l", "0"])
     assert exc.value.code == 2
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["family", "--l", "abc"])
+    assert exc.value.code == 2
+    assert "not an integer: 'abc'" in capsys.readouterr().err
     with pytest.raises(SystemExit) as exc:
         main(["specialize", "--l", "1", "--alpha", "pi"])
     assert exc.value.code == 2

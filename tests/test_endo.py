@@ -10,6 +10,7 @@ from conftest import rand_poly, rand_rational
 from oracles import triangularizing_order_by_search
 from polydegen import parse_poly
 from polydegen.certificates import OPAQUE, REORDERED, TRIANGULAR, factor_kind
+from polydegen.derivation import TriangularDerivation
 from polydegen.endo import PolyEndo
 from polydegen.errors import ArityMismatch, NotTriangular
 from polydegen.multipoly import MultiPoly
@@ -37,6 +38,12 @@ def test_maps_are_frozen_values():
         PolyEndo(tuple(images), images=tuple(images))
     with pytest.raises(TypeError):
         PolyEndo()
+    with pytest.raises(TypeError, match="images must be MultiPoly instances"):
+        PolyEndo(("x1",))
+    # a map is never equal to a derivation with the same images
+    triangular = (MultiPoly.zero(2), MultiPoly.variable(2, 1))
+    assert PolyEndo(triangular) != TriangularDerivation(triangular)
+    assert TriangularDerivation(triangular) != PolyEndo(triangular)
 
 
 def test_identity_and_apply():

@@ -38,6 +38,8 @@ def test_constructors():
         MultiPoly.variable(3, 4)
     with pytest.raises(ArityMismatch):
         MultiPoly(3, {(1, 2, 0): 1})
+    with pytest.raises(ValueError, match="negative variable exponent"):
+        MultiPoly(2, {(-1, 0, 0): 1})
     # no constructor builds a polynomial without a variable
     builders = (MultiPoly, MultiPoly.zero, MultiPoly.one, MultiPoly.parameter,
                 lambda n: MultiPoly.constant(n, 3), lambda n: MultiPoly.sum(n, []))
@@ -74,12 +76,33 @@ def test_coercion_with_scalars_and_laurent():
     assert p - Fraction(1, 2) == P("x1 - 1/2")
     assert p * P("(t)") ** -1 == P("(t^-1)*x1")
     assert p / 2 == P("1/2*x1")
+    with pytest.raises(ZeroDivisionError):
+        p / 0
+    # only an int, a Fraction or a polynomial multiplies a polynomial
+    for product in (lambda: p * 1.5, lambda: p * None, lambda: "a" * p):
+        with pytest.raises(TypeError):
+            product()
     with pytest.raises(TypeError):
         p / P("x2")
     with pytest.raises(TypeError):
         p / P("(t)")
     with pytest.raises(NonUnit):
         p * P("(1 + t)") ** -1
+
+
+def test_operands_of_another_arity_are_refused():
+    a, b = P("x1", arity=2), P("x1")
+    with pytest.raises(ArityMismatch):
+        MultiPoly.sum(2, [a, b])
+    for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: b - a):
+        with pytest.raises(ArityMismatch):
+            op()
+    with pytest.raises(ArityMismatch):
+        a.coefficient((1,))
+    with pytest.raises(ArityMismatch):
+        a.involves(3)
+    with pytest.raises(ArityMismatch):
+        a.diff(0)
 
 
 def test_pow():
@@ -298,6 +321,11 @@ def test_exact_divide_examples():
     # Laurent coefficients: t is invertible, so t*x1 divides x1
     assert P("x1").exact_divide(P("(t)*x1")) == P("(t^-1)")
     assert MultiPoly.zero(3).exact_divide(P("x1")) == MultiPoly.zero(3)
+    with pytest.raises(TypeError, match="divisor must be a polynomial"):
+        P("x1").exact_divide("a")
+    for zero in (0, MultiPoly.zero(3)):
+        with pytest.raises(ZeroDivisionError):
+            P("x1").exact_divide(zero)
 
 
 def test_specialize_t():
