@@ -28,6 +28,9 @@ class TriangularDerivation(Images):
     2*x1*x2
     """
 
+    # extend_arity sends a new variable to zero
+    _new_image = staticmethod(lambda arity, i: MultiPoly.zero(arity))
+
     def __post_init__(self):
         super().__post_init__()
         for i, img in enumerate(self.images, start=1):
@@ -108,6 +111,28 @@ class TriangularDerivation(Images):
             k += 1
             summands.append(powers[k] * term * Fraction(1, math.factorial(k)))
 
+    def series_length(self) -> int:
+        """A bound on the summand count of every exp series, and of sigma on a variable.
+
+        Weigh t as 0, x1 as w_1 = 1 and x_i as w_i = 1 + the weighted
+        degree of delta(x_i), which involves only earlier variables.  Then
+        delta lowers the weighted degree of every term, so delta^k(x_i) is
+        zero once k > w_i, and each of those series has at most max(w) + 1
+        summands.
+
+        >>> t = MultiPoly.parameter(3)
+        >>> x1 = MultiPoly.variable(3, 1)
+        >>> x2 = MultiPoly.variable(3, 2)
+        >>> TriangularDerivation((t, x1, -2 * x2)).series_length()
+        4
+        """
+        weights: list[int] = []
+        for img in self.images:
+            # zip stops at x_{i-1}: a triangular image involves no later variable
+            degrees = (sum(w * e for w, e in zip(weights, exps)) for exps, _ in img.terms())
+            weights.append(1 + max(degrees, default=0))
+        return max(weights) + 1
+
     def kernel_generators(self) -> tuple[MultiPoly, ...]:
         """The slice images (sigma(x2),...,sigma(xn)).
 
@@ -115,13 +140,3 @@ class TriangularDerivation(Images):
         derivation, and substituting them for x2..xn is exactly sigma.
         """
         return tuple(self.sigma(MultiPoly.variable(self.arity, i)) for i in range(2, self.arity + 1))
-
-    # ------------------------------------------------------------------ misc
-
-    def extend_arity(self, arity: int) -> TriangularDerivation:
-        """Extend by later variables that map to zero."""
-        if arity < self.arity:
-            raise ArityMismatch(f"cannot shrink arity {self.arity} to {arity}")
-        images = [img.extend_arity(arity) for img in self.images]
-        images += [MultiPoly.zero(arity)] * (arity - self.arity)
-        return TriangularDerivation(tuple(images))

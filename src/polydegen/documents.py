@@ -15,9 +15,12 @@ it reads a polynomial or a rational only as the canonical text that
 identity from scratch, so an edit to an embedded value either makes the
 document unreadable or flips at least one transcript line.  One edit
 keeps a document verified: a polynomial coefficient rewritten out of
-lowest terms, which reads at its value.  A wildness, tameness_word or
-stabilization document may leave out ``l``; when it states one, its
-first identity checks that the derivation and h are that family member.
+lowest terms, which reads at its value.  A derivation whose exp or
+sigma series could outgrow the document's length (``_series_bound``) is
+refused, which fails each identity that uses it.  A wildness,
+tameness_word or stabilization document may leave out ``l``; when it
+states one, its first identity checks that the derivation and h are that
+family member.
 
 This module is the only reader of documents: ``read_document`` reads a
 file, ``verify_report`` writes what ``verify`` prints, and ``family_l``
@@ -48,7 +51,7 @@ from .certificates import (
 )
 from .derivation import TriangularDerivation
 from .endo import Images, PolyEndo
-from .errors import CheckFailed, ParseError, PolydegenError
+from .errors import CheckFailed, HypothesisViolation, ParseError, PolydegenError
 from .family import family_derivation, family_potential, has_limit_shape, slice_coefficients
 from .multipoly import MultiPoly
 from .parsing import parse_poly, parse_rational
@@ -348,11 +351,37 @@ def _pair_fields(doc: dict, poly) -> SimpleNamespace:
     """The pair (derivation, h) that every kind states, read in that order
     with the polynomial reader ``poly``: ``f.delta_images``, ``f.h`` and the
     derivation ``f.delta()``, after the ``l`` a document may state: ``f.l``,
-    None when it states none."""
+    None when it states none.  Also what the pair implies: ``f.member``, the
+    entries that check the stated l (none when it states none), and
+    ``f.regular``, whether the derivation and h are regular at t = 0."""
     l = _field(doc, "l", int) if "l" in doc else None
     f = SimpleNamespace(l=l, delta_images=_field(doc, "derivation", [poly]), h=_field(doc, "h", poly))
-    f.delta = cache(lambda: TriangularDerivation(f.delta_images))
+    f.delta = cache(lambda: _derivation(f.delta_images, doc))
+    f.member = () if l is None else (_IS_MEMBER,)
+    f.regular = all(g.is_t_regular() for g in f.delta_images) and f.h.is_t_regular()
     return f
+
+
+# The longest exp or sigma series a document may ask for: _SERIES_FLOOR
+# summands, and one more for each _SERIES_BYTES bytes of its compact JSON
+# text.  The family's series have 2l + 2 summands; the tightest emitted
+# document, the wildness document of l = 8, is 3,039 bytes for 18.
+_SERIES_FLOOR, _SERIES_BYTES = 256, 64
+
+
+def _series_bound(doc: dict) -> int:
+    return _SERIES_FLOOR + len(json.dumps(doc, separators=(",", ":"))) // _SERIES_BYTES
+
+
+def _derivation(images: tuple, doc: dict) -> TriangularDerivation:
+    """The derivation a document states, refused with HypothesisViolation
+    when its exp or sigma series could outgrow ``_series_bound(doc)``."""
+    delta = TriangularDerivation(images)
+    length = delta.series_length()
+    # the floor allows every honest l up to 127 without measuring the text
+    if length > _SERIES_FLOOR and length > _series_bound(doc):
+        raise HypothesisViolation(f"the derivation's series may have {length} summands")
+    return delta
 
 
 def _is_member(f: SimpleNamespace) -> bool:
@@ -375,11 +404,6 @@ def _is_member(f: SimpleNamespace) -> bool:
 
 # the first entry of a wildness, word or stabilization document that states its l
 _IS_MEMBER = ("derivation and h are family member l", _is_member)
-
-
-def _stated_member(f: SimpleNamespace) -> tuple:
-    """The entries that check the l a document states: none when it states none."""
-    return () if f.l is None else (_IS_MEMBER,)
 
 
 def _conjugation_fields(doc: dict, poly) -> SimpleNamespace:
@@ -413,7 +437,7 @@ def _verify_family(doc: dict) -> tuple:
     f.h_limit = _field(doc, "h_limit", poly)
     f.fiber_images = _field(doc, "fiber_at_zero", [poly])
     f.wild = _field(doc, "wildness", {**_FLAG_KEYS, "verdict": str})
-    f.delta_zero = cache(lambda: TriangularDerivation(f.dz_images))
+    f.delta_zero = cache(lambda: _derivation(f.dz_images, doc))
     f.fiber = cache(lambda: PolyEndo(f.fiber_images))
     x1, x2, x3 = f.x
     t = MultiPoly.parameter(arity)
@@ -527,11 +551,8 @@ def _verify_wildness(doc: dict) -> tuple:
     f.fiber_images = _field(doc, "fiber_at_zero", [poly])
     f.report = cache(lambda: check_wild_at_zero(f.delta(), f.h))
     return f, (
-        *_stated_member(f),
-        (
-            "derivation and h are regular at t = 0",
-            lambda f: all(g.is_t_regular() for g in f.delta_images) and f.h.is_t_regular(),
-        ),
+        *f.member,
+        ("derivation and h are regular at t = 0", lambda f: f.regular),
         (
             "delta(x1) is a scalar vanishing at t = 0",
             lambda f: f.delta_images[0].is_constant()
@@ -566,7 +587,7 @@ def _verify_word(doc: dict) -> tuple:
     f.fiber = cache(lambda: PolyEndo(f.fiber_images))
     f.factors = [cache(lambda imgs=imgs: PolyEndo(imgs)) for imgs in factors]
     return f, (
-        *_stated_member(f),
+        *f.member,
         (
             "factors compose to the fiber",
             lambda f: PolyEndo.compose_chain([factor() for factor in f.factors]) == f.fiber(),
@@ -634,7 +655,7 @@ def _verify_stabilization(doc: dict) -> tuple:
         return gamma.verify_inverse_pair(gamma_inv) and rho.verify_inverse_pair(rho_inv)
 
     checks = [
-        *_stated_member(f),
+        *f.member,
         _KILLS_H,
         ("base is exp(h*delta)", lambda f: f.base() == f.delta().exp(f.h)),
         (
@@ -656,7 +677,7 @@ def _verify_stabilization(doc: dict) -> tuple:
             *_WORD_PREMISES,
         ),
     ]
-    if all(g.is_t_regular() for g in f.delta_images) and f.h.is_t_regular():
+    if f.regular:
         checks += [
             (
                 f"the word specializes at t = {alpha}",

@@ -21,7 +21,8 @@ class Images(Record):
     """A map of Q[t,t^-1][x1,...,xn] given by the images of x1..xn, all of arity n.
 
     The shape shared by endomorphisms and derivations: the validated image
-    tuple, its arity, specialization at t = alpha image by image, and text.
+    tuple, its arity, specialization at t = alpha image by image, extension
+    by later variables, and text.
     """
 
     images: tuple[MultiPoly, ...]
@@ -44,6 +45,12 @@ class Images(Record):
     def specialize(self, alpha: int | Fraction):
         return type(self)(tuple(img.specialize_t(alpha) for img in self.images))
 
+    def extend_arity(self, arity: int):
+        """The same map with extra later variables x_i, each sent to ``_new_image(arity, i)``."""
+        images = [img.extend_arity(arity) for img in self.images]
+        images += [self._new_image(arity, i) for i in range(self.arity + 1, arity + 1)]
+        return type(self)(tuple(images))
+
     def __str__(self) -> str:
         return "(" + ", ".join(str(img) for img in self.images) + ")"
 
@@ -60,6 +67,9 @@ class PolyEndo(Images):
     >>> print(tau)
     (x1, x1^2 + x2)
     """
+
+    # extend_arity fixes a new variable
+    _new_image = staticmethod(MultiPoly.variable)
 
     @classmethod
     def identity(cls, arity: int) -> PolyEndo:
@@ -88,14 +98,6 @@ class PolyEndo(Images):
         if not factors:
             raise ArityMismatch("at least one factor is required")
         return reduce(PolyEndo.compose, factors)
-
-    def extend_arity(self, arity: int) -> PolyEndo:
-        """The same map on a ring with extra later variables, fixed."""
-        if arity < self.arity:
-            raise ArityMismatch(f"cannot shrink arity {self.arity} to {arity}")
-        images = [img.extend_arity(arity) for img in self.images]
-        images += [MultiPoly.variable(arity, i) for i in range(self.arity + 1, arity + 1)]
-        return PolyEndo(tuple(images))
 
     # ------------------------------------------------------------------ shape
 

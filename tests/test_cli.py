@@ -616,6 +616,53 @@ def test_a_huge_variable_power_in_a_word_factor_fails_fast(tmp_path, capsys):
     assert time.perf_counter() - start < 5.0
 
 
+_WORD = ["specialize", "--l", "1", "--alpha=5/3"]
+
+
+@pytest.mark.parametrize(
+    "argv, field, changes, failing",
+    [
+        (
+            _WORD,
+            "derivation",
+            {"h": "1"},
+            ["derivation and h are family member l", "fiber is exp(h*delta) at t = alpha"],
+        ),
+        (_WORD, "derivation", {"h": "1", "l": None}, ["fiber is exp(h*delta) at t = alpha"]),
+        (
+            ["family", "--l", "1"],
+            "derivation_at_zero",
+            {},
+            [
+                "derivation_at_zero is the derivation at t = 0",
+                "fiber_at_zero is exp(h_limit*delta_zero)",
+            ],
+        ),
+    ],
+    ids=["word with l", "word without l", "family derivation_at_zero"],
+)
+def test_a_long_exp_series_fails_only_the_identities_using_it(
+    tmp_path, capsys, argv, field, changes, failing
+):
+    # w_3 = 2001, so the series of x3 has 2002 summands: far past the bound
+    # of a document this short, whether it states l or not
+    doc = json.loads(run(argv, capsys)[1])
+    doc[field][2] = "-1001*x2^1000"
+    doc.update(changes)
+    bad = tmp_path / "series.json"
+    bad.write_text(json.dumps({k: v for k, v in doc.items() if v is not None}, indent=2) + "\n")
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-m", "polydegen", "verify", "--in", str(bad), "--format", "json"],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert result.returncode == 1, result.stderr
+    assert time.perf_counter() - start < 5.0
+    assert [c["identity"] for c in json.loads(result.stdout)["checks"] if not c["pass"]] == failing
+
+
 def test_import_loads_neither_dataclasses_nor_inspect():
     # both cost a fresh process milliseconds of start-up on every command
     import polydegen

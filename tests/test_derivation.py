@@ -12,6 +12,7 @@ from oracles import reference_exp, reference_sigma
 from polydegen import parse_poly
 from polydegen.derivation import TriangularDerivation
 from polydegen.errors import ArityMismatch, KernelViolation, NonUnit, NotTriangular
+from polydegen.family import family_derivation
 from polydegen.multipoly import MultiPoly
 
 
@@ -116,6 +117,25 @@ def test_exp_is_the_reference_series(delta, kind, scalar):
 @given(triangular(unit_f1=st.just(True)), polys_below(ARITY + 1))
 def test_sigma_is_the_reference_series(delta, poly):
     assert delta.sigma(poly) == reference_sigma(delta, poly)
+
+
+@settings(examples)
+@given(triangular())
+def test_series_length_bounds_every_variable_series(delta):
+    # delta^k(x_i) for k = 0, 1, ... is the series of exp and of sigma on x_i
+    for i in range(1, ARITY + 1):
+        term, summands = MultiPoly.variable(ARITY, i), 0
+        while not term.is_zero():
+            term, summands = delta.apply(term), summands + 1
+        assert summands <= delta.series_length()
+
+
+def test_series_length_of_the_family_and_of_a_long_series():
+    for l in range(1, 9):
+        assert family_derivation(l).series_length() == 2 * l + 2
+    # w = (1, 2, 2001): x3's series is x3 and then 2000 more summands
+    assert make_delta("(t)", "x1", "-1001*x2^1000").series_length() == 2002
+    assert make_delta("0", "0", "0").series_length() == 2
 
 
 @pytest.mark.parametrize("l", (1, 2, 3, 4))

@@ -10,6 +10,7 @@ import pytest
 from conftest import family
 from polydegen import MultiPoly, documents, parse_poly
 from polydegen.cli import build_parser, cmd_verify
+from polydegen.derivation import TriangularDerivation
 from polydegen.certificates import (
     ConjugationCertificate,
     build_stabilization,
@@ -351,6 +352,23 @@ def test_semantic_breakage_is_reported_not_raised(docs):
     doc["derivation"] = ["x2", "x1", "x1"]
     checks = verify_document(doc)
     assert any(not c["pass"] for c in checks)
+
+
+@pytest.mark.parametrize("l", (1, 2, 3))
+def test_emitted_documents_stay_ten_times_under_the_series_bound(l):
+    cert = family(l)
+    emitted = (
+        family_document(l, cert),
+        wildness_document(cert.delta, cert.h, l=l),
+        word_document(specialized_tameness(cert, Fraction(5, 3)), cert.delta, cert.h, l=l),
+        stabilization_document(build_stabilization(cert.delta, cert.h), l=l),
+    )
+    for doc in emitted:
+        for field in ("derivation", "derivation_at_zero"):
+            if field in doc:
+                images = tuple(parse_poly(g, arity=doc["arity"]) for g in doc[field])
+                length = TriangularDerivation(images).series_length()
+                assert 10 * length <= documents._series_bound(doc), (doc["kind"], field)
 
 
 def test_emission_refuses_inconsistent_input():

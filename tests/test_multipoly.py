@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import rand_poly, rand_poly_nonzero
@@ -291,6 +291,43 @@ def substitutions(draw):
 def test_substitute_matches_the_oracle_on_random_inputs(case):
     p, images = case
     assert p.substitute(images) == ref_substitute(p, images)
+
+
+def _lone_variable(n, k):
+    """The exponents of x_k alone at arity n."""
+    return tuple(int(i == k) for i in range(1, n + 1))
+
+
+@st.composite
+def _power_bases(draw):
+    """A shift image u*x_k + q with u = c*t^j a unit other than 1, or a base
+    with no term c*t^j*x_i alone.  q has powers of t from t^-3 to t^3 and
+    may involve x_k."""
+    n = draw(st.integers(1, 3))
+    q = draw(_laurent_polys(n, 4, 2))
+    if draw(st.booleans()):
+        k = draw(st.integers(1, n))
+        c, j = draw(st.tuples(_COEFFS, st.integers(-3, 3)).filter(lambda u: u != (1, 0)))
+        return MultiPoly(n, {_lone_variable(n, k) + (j,): c}) + q
+    lone = {_lone_variable(n, k) for k in range(1, n + 1)}
+    return MultiPoly(n, {exps: c for exps, c in q.terms() if exps[:-1] not in lone})
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(_power_bases())
+# shift images whose q involves x_k, and a base with no lone variable
+@example(P("x1^2*x2 + (2*t^-1)*x1 + (t^-2)"))
+@example(P("x1*x2^2 - 3*x2 + 1/2*x3"))
+@example(P("x1*x3^2 + (t^-1)*x2 + (-t^3)*x3"))
+@example(P("x1*x2 + (t^-1)*x3^2 + 1"))
+def test_a_power_table_holds_the_repeated_products(base):
+    products = [MultiPoly.one(base.arity)]
+    for _ in range(6):
+        products.append(products[-1] * base)
+    table = base.powers()
+    # a power asked for first, then all of them from 0
+    assert table[6] == products[6]
+    assert [table[e] for e in range(7)] == products
 
 
 def test_exact_divide_agrees_with_linear_system_oracle():
