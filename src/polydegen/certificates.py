@@ -15,8 +15,8 @@ Three independent pieces of evidence about phi = exp(h*delta):
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import NamedTuple
 
-from ._record import Record
 from .derivation import TriangularDerivation
 from .endo import PolyEndo
 from .errors import HypothesisViolation, KernelViolation
@@ -26,7 +26,7 @@ WILD = "wild"
 TAME = "tame"
 
 
-class WildnessReport(Record):
+class WildnessReport(NamedTuple):
     """Outcome of the three residue conditions at t = 0.
 
     The fiber is wild exactly when all three flags hold; with any flag
@@ -101,7 +101,7 @@ def check_wild_at_zero(delta: TriangularDerivation, h: MultiPoly) -> WildnessRep
 # --------------------------------------------------------------- conjugation
 
 
-class ConjugationCertificate(Record):
+class ConjugationCertificate(NamedTuple):
     """phi = tau o epsilon o tau_inv over Q[t,t^-1], all stored exactly."""
 
     delta: TriangularDerivation
@@ -161,7 +161,7 @@ def factor_kind(factor: PolyEndo) -> str:
     return TRIANGULAR if order == tuple(range(1, factor.arity + 1)) else REORDERED
 
 
-class TamenessWord(Record):
+class TamenessWord(NamedTuple):
     """A factorization of one fiber into tame-certifying factors."""
 
     alpha: Fraction
@@ -194,7 +194,7 @@ def specialized_tameness(cert: ConjugationCertificate, alpha: int | Fraction) ->
 # -------------------------------------------------------------- stabilization
 
 
-class StabilizationCertificate(Record):
+class StabilizationCertificate(NamedTuple):
     """The arity n+1 extension of exp(h*delta) as a four-factor commutator.
 
     gamma shifts the fresh variable by h, rho = exp(x_{n+1}*delta), and

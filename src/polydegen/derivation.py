@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .endo import Images, PolyEndo
 from .errors import ArityMismatch, KernelViolation, NonUnit, NotTriangular
@@ -28,11 +28,13 @@ class TriangularDerivation(Images):
     2*x1*x2
     """
 
+    __slots__ = ()
+
     # extend_arity sends a new variable to zero
     _new_image = staticmethod(lambda arity, i: MultiPoly.zero(arity))
 
-    def __post_init__(self):
-        super().__post_init__()
+    def __init__(self, images: Sequence[MultiPoly]):
+        super().__init__(images)
         for i, img in enumerate(self.images, start=1):
             for j in range(i, self.arity + 1):
                 if img.involves(j):

@@ -12,31 +12,46 @@ from fractions import Fraction
 from functools import reduce
 from typing import Sequence
 
-from ._record import Record
 from .errors import ArityMismatch, NotTriangular
 from .multipoly import MultiPoly
 
 
-class Images(Record):
+class Images:
     """A map of Q[t,t^-1][x1,...,xn] given by the images of x1..xn, all of arity n.
 
     The shape shared by endomorphisms and derivations: the validated image
     tuple, its arity, specialization at t = alpha image by image, extension
-    by later variables, and text.
+    by later variables, and text.  A map is an immutable value, equal only
+    to a map of its own class with the same images.
     """
 
-    images: tuple[MultiPoly, ...]
+    __slots__ = ("images",)
 
-    def __post_init__(self):
-        n = len(self.images)
+    def __init__(self, images: Sequence[MultiPoly]):
+        images = tuple(images)
+        n = len(images)
         if n == 0:
             raise ArityMismatch("a map needs at least one image")
-        for img in self.images:
+        for img in images:
             if not isinstance(img, MultiPoly):
                 raise TypeError("images must be MultiPoly instances")
             if img.arity != n:
                 raise ArityMismatch(f"image arity {img.arity} does not match count {n}")
-        object.__setattr__(self, "images", tuple(self.images))
+        object.__setattr__(self, "images", images)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.images == other.images
+
+    def __hash__(self):
+        return hash(self.images)
 
     @property
     def arity(self) -> int:
@@ -67,6 +82,8 @@ class PolyEndo(Images):
     >>> print(tau)
     (x1, x1^2 + x2)
     """
+
+    __slots__ = ()
 
     # extend_arity fixes a new variable
     _new_image = staticmethod(MultiPoly.variable)

@@ -8,11 +8,14 @@ orders, testing each against the definition of a triangular map, where
 the library walks a dependency graph.  The exponential
 oracles sum each series in its own loop, as written in the paper.  The
 substitution oracle expands term by term, where the library groups terms
-one variable at a time and shares each image's powers.
+one variable at a time and shares each image's powers.  The text reader
+follows README's grammar with regular expressions, where the library
+scans packed terms straight out of the text.
 """
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 from polydegen.endo import PolyEndo
@@ -318,3 +321,65 @@ def ref_render(poly):
             text = f"({_ref_sum(inner)})"
             pieces.append((False, f"{text}*{mono}" if mono else text))
     return _ref_sum(pieces) or "0"
+
+
+# ------------------------------------------------------------------ reading
+#
+# README's grammar read into a Fraction dict keyed (e1,...,en,et): split the
+# text into signed groups outside the parentheses, a parenthesized scalar
+# into signed t-terms, and a monomial at each '*'.  Equal keys add up, so
+# the reader checks the grammar but not the canonical order.
+
+_RATIONAL = r"\d+(?:/\d+)?"
+_GROUP = re.compile(rf"\((.+)\)(?:\*(x.+))?|({_RATIONAL})(?:\*(x.+))?|(x.+)")
+_TTERM = re.compile(rf"({_RATIONAL})|(?:({_RATIONAL})\*)?t(?:\^(-?\d+))?")
+_POWER = re.compile(r"x(\d+)(?:\^(\d+))?")
+
+
+def _signed(text):
+    """(sign, piece) pairs of "'-'? piece ((' + ' | ' - ') piece)*".
+
+    A separator lies inside parentheses exactly when a ')' follows it
+    before any '('.
+    """
+    negative = text.startswith("-")
+    parts = re.split(r" ([+-]) (?![^()]*\))", text[negative:])
+    signs = [-1 if negative else 1] + [1 if s == "+" else -1 for s in parts[1::2]]
+    return zip(signs, parts[::2])
+
+
+def _match(pattern, text):
+    match = pattern.fullmatch(text)
+    if match is None:
+        raise ValueError(f"not in the grammar: {text!r}")
+    return match.groups()
+
+
+def _powers(monomial, arity):
+    powers = [0] * arity
+    for factor in monomial.split("*") if monomial else ():
+        index, exponent = _match(_POWER, factor)
+        if not 1 <= int(index) <= arity:
+            raise ValueError(f"x{index} at arity {arity}")
+        powers[int(index) - 1] += int(exponent or 1)
+    return tuple(powers)
+
+
+def ref_read(text, arity):
+    """The terms of polynomial text in README's grammar, {(e1,...,en,et): Fraction}."""
+    out = {}
+    for sign, group in _signed(text):
+        scalar, scaled, rational, monomial, bare = _match(_GROUP, group)
+        if scalar is None:
+            coefficient = {0: Fraction(rational or 1)}
+        else:
+            coefficient = {}
+            for t_sign, tterm in _signed(scalar):
+                constant, q, t_exp = _match(_TTERM, tterm)
+                e = 0 if constant else int(t_exp or 1)
+                coefficient[e] = coefficient.get(e, 0) + t_sign * Fraction(constant or q or 1)
+        powers = _powers(scaled or monomial or bare, arity)
+        for t_exp, c in coefficient.items():
+            key = powers + (t_exp,)
+            out[key] = out.get(key, 0) + sign * c
+    return {key: c for key, c in out.items() if c}

@@ -252,3 +252,66 @@ def test_every_grouping_of_the_certified_words_agrees(families, l):
     tau, epsilon, tau_inv = fam.tau, fam.epsilon, fam.tau_inv
     assert tau.compose(epsilon).compose(tau_inv) == fam.automorphism
     assert tau.compose(epsilon.compose(tau_inv)) == fam.automorphism
+
+
+# ------------------------------------------------------------------ records
+
+
+_RECORDS = {
+    "WildnessReport": (
+        lambda fam: check_wild_at_zero(fam.delta, fam.h),
+        (
+            "f2_residue_nonzero",
+            "h_residue_not_in_x1",
+            "derivative_outside_ideal",
+            "f2_residue",
+            "h_residue",
+            "derivative_residue",
+            "verdict",
+        ),
+    ),
+    "ConjugationCertificate": (
+        lambda fam: fam,
+        ("delta", "h", "tau", "tau_inv", "epsilon", "slice_potential", "automorphism"),
+    ),
+    "TamenessWord": (
+        lambda fam: specialized_tameness(fam, Fraction(5, 3)),
+        ("alpha", "factors", "fiber", "factor_kinds"),
+    ),
+    "StabilizationCertificate": (
+        lambda fam: build_stabilization(fam.delta, fam.h),
+        ("delta", "h", "base", "extension", "gamma", "rho"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RECORDS))
+def test_certificates_are_frozen_records(families, name):
+    build, fields = _RECORDS[name]
+    record = build(families[1])
+    cls = type(record)
+    assert cls.__name__ == name
+    values = [getattr(record, field) for field in fields]
+    keywords = dict(zip(fields, values))
+    # by position and by keyword, every field given once
+    assert cls(*values) == record == cls(**keywords)
+    with pytest.raises(TypeError):
+        cls(*values[:-1])
+    with pytest.raises(TypeError):
+        cls(**{field: keywords[field] for field in fields[1:]})
+    with pytest.raises(TypeError):
+        cls(*values, values[0])
+    with pytest.raises(TypeError):
+        cls(**keywords, unknown=values[0])
+    # neither a field nor a new name can be set or deleted
+    for attr in (fields[0], "unknown"):
+        with pytest.raises(AttributeError):
+            setattr(record, attr, values[0])
+        with pytest.raises(AttributeError):
+            delattr(record, attr)
+    # equal and equally hashed by value; a copy with one field changed differs
+    twin = cls(*values)
+    assert twin is not record and hash(twin) == hash(record)
+    assert record._replace(**{fields[-1]: None}) != record
+    shown = ", ".join(f"{field}={value!r}" for field, value in keywords.items())
+    assert repr(record) == f"{name}({shown})"

@@ -8,14 +8,11 @@ from fractions import Fraction
 import pytest
 
 from conftest import family
+from oracles import ref_read, ref_render
 from polydegen import MultiPoly, documents, parse_poly
 from polydegen.cli import build_parser, cmd_verify
 from polydegen.derivation import TriangularDerivation
-from polydegen.certificates import (
-    ConjugationCertificate,
-    build_stabilization,
-    specialized_tameness,
-)
+from polydegen.certificates import build_stabilization, specialized_tameness
 from polydegen.documents import (
     FORMAT_VERSION,
     conjugation_document,
@@ -374,7 +371,7 @@ def test_emitted_documents_stay_ten_times_under_the_series_bound(l):
 def test_emission_refuses_inconsistent_input():
     cert = family(1)
     tampered = cert.slice_potential + parse_poly("x2", arity=3)
-    broken = ConjugationCertificate(**{**vars(cert), "slice_potential": tampered})
+    broken = cert._replace(slice_potential=tampered)
     with pytest.raises(CheckFailed):
         family_document(1, broken)
 
@@ -571,3 +568,46 @@ def test_every_edit_of_every_document_is_caught(docs, tmp_path):
     assert not missed, missed
     # the allowed edits still verify: the list above is not stale
     assert allowed
+
+
+# the polynomial fields of each emitted kind; those of the stabilization's
+# extended maps are at its extended arity
+_POLY_FIELDS = {
+    "family": (
+        "derivation", "g2", "g3", "tau", "tau_inv", "slice_potential", "epsilon", "h",
+        "automorphism", "derivation_at_zero", "h_limit", "fiber_at_zero",
+    ),
+    "wildness": ("derivation", "h", "residues", "fiber_at_zero"),
+    "tameness_word": ("derivation", "h", "factors", "fiber"),
+    "stabilization": ("derivation", "h", "base", "extension", "gamma", "rho"),
+}
+_EXTENDED = ("extension", "gamma", "rho")
+
+
+def _texts(value):
+    if isinstance(value, str):
+        yield value
+    else:
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from _texts(item)
+
+
+def test_emitted_text_reads_and_renders_as_the_reference_does():
+    # an independent reader and renderer of README's grammar agree with
+    # parse_poly and str on every polynomial an emitted document states
+    emitted = []
+    for l in (1, 2, 3):
+        cert = family(l)
+        emitted += [family_document(l, cert), wildness_document(cert.delta, cert.h, l=l)]
+        for alpha in (Fraction(5, 3), Fraction(-7, 11)):
+            emitted.append(word_document(specialized_tameness(cert, alpha), cert.delta, cert.h, l=l))
+        if l < 3:
+            emitted.append(stabilization_document(build_stabilization(cert.delta, cert.h), l=l))
+    assert sorted({doc["kind"] for doc in emitted}) == sorted(_POLY_FIELDS)
+    for doc in emitted:
+        for field in _POLY_FIELDS[doc["kind"]]:
+            arity = doc["extended_arity" if field in _EXTENDED else "arity"]
+            for text in _texts(doc[field]):
+                poly = parse_poly(text, arity)
+                assert ref_read(text, arity) == dict(poly.terms()), (doc["kind"], field, text)
+                assert ref_render(poly) == text, (doc["kind"], field, text)
