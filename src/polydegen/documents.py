@@ -51,7 +51,7 @@ from .certificates import (
 )
 from .derivation import TriangularDerivation
 from .endo import Images, PolyEndo
-from .errors import CheckFailed, HypothesisViolation, ParseError, PolydegenError
+from .errors import ArityMismatch, CheckFailed, HypothesisViolation, ParseError, PolydegenError
 from .family import family_derivation, family_potential, has_limit_shape, slice_coefficients
 from .multipoly import MultiPoly
 from .parsing import parse_poly, parse_rational
@@ -96,8 +96,15 @@ def _field(doc: dict, key: str, kind):
 def _typed(value, kind, label: str):
     """``value`` read as ``kind``: a type, which it must have; a dict of
     key -> kind, for a dict with exactly those keys; ``[kind]``, for a
-    nonempty list, read into a tuple; or a reader of a str, such as
-    ``parse_poly`` with its arity bound."""
+    nonempty list, read into a tuple; ``(cls, reader)``, for a map
+    ``cls(images)`` with the images read as ``[reader]``; or a reader of a
+    str, such as ``parse_poly`` with its arity bound."""
+    if isinstance(kind, tuple):
+        cls, reader = kind
+        try:
+            return cls(_typed(value, [reader], label))
+        except ArityMismatch as exc:
+            raise ParseError(f"{label}: {exc}") from None
     if isinstance(kind, (dict, list)):
         want = type(kind)
     else:
@@ -269,11 +276,13 @@ def stabilization_document(cert: StabilizationCertificate, l: int | None = None)
 # *premises): the predicate takes ``f`` (a kind's own predicates may also
 # read the verifier's local constants) and fails by returning False or by
 # raising a PolydegenError, and an entry fails without running when one of
-# its premises, the identities of earlier entries, failed.  Maps are built
-# from their images on first use and cached.  An error is not cached but
-# raised again on the next use, which costs little: every thunk that can
-# raise does so after a cheap validation, and composing the word, the one
-# costly thunk, runs only behind its premises.
+# its premises, the identities of earlier entries, failed.  A map is read
+# as a map, so one whose image count is not its arity is unreadable.  Only
+# the values whose building can fail an identity or costs products (the
+# derivations, the wildness report and the stabilization word and its
+# composite) are built on first use and cached; an error is raised again on
+# each use, after a cheap validation, and the word composes only behind
+# its premises.
 
 
 def document_kind(doc: dict) -> str:
@@ -330,20 +339,20 @@ def _run(f: SimpleNamespace, checks) -> list[dict]:
 # and ``f.h``; the rest read the fields of _conjugation_fields.
 _RING_MODE = ("ring mode is Q[t,t^-1]", lambda f: f.ring_mode == _BASE_RING)
 _KILLS_H = ("derivation kills h", lambda f: f.delta().apply(f.h).is_zero())
-_TAU_TRIANGULAR = ("tau is triangular over Q[t,t^-1]", lambda f: f.tau().is_triangular())
+_TAU_TRIANGULAR = ("tau is triangular over Q[t,t^-1]", lambda f: f.tau.is_triangular())
 _TAU_INVERTS = (
     "tau and tau_inv are mutually inverse",
-    lambda f: f.tau().verify_inverse_pair(f.tau_inv()),
+    lambda f: f.tau.verify_inverse_pair(f.tau_inv),
 )
 _POTENTIAL_IS_H_AT_ZERO = (
     "slice potential is h at x1 = 0",
     lambda f: f.h.substitute([MultiPoly.zero(f.h.arity), *f.x[1:]]) == f.p,
 )
-_TAU_SENDS_POTENTIAL = ("tau sends the slice potential to h", lambda f: f.tau().apply(f.p) == f.h)
-_AUTOMORPHISM_IS_EXP = ("automorphism is exp(h*delta)", lambda f: f.phi() == f.delta().exp(f.h))
+_TAU_SENDS_POTENTIAL = ("tau sends the slice potential to h", lambda f: f.tau.apply(f.p) == f.h)
+_AUTOMORPHISM_IS_EXP = ("automorphism is exp(h*delta)", lambda f: f.phi == f.delta().exp(f.h))
 _CONJUGATES = (
     "tau o epsilon o tau_inv equals the automorphism",
-    lambda f: PolyEndo.compose_chain((f.tau(), f.epsilon(), f.tau_inv())) == f.phi(),
+    lambda f: PolyEndo.compose_chain((f.tau, f.epsilon, f.tau_inv)) == f.phi,
 )
 
 
@@ -355,7 +364,8 @@ def _pair_fields(doc: dict, poly) -> SimpleNamespace:
     entries that check the stated l (none when it states none), and
     ``f.regular``, whether the derivation and h are regular at t = 0."""
     l = _field(doc, "l", int) if "l" in doc else None
-    f = SimpleNamespace(l=l, delta_images=_field(doc, "derivation", [poly]), h=_field(doc, "h", poly))
+    f = SimpleNamespace(l=l, delta_images=_field(doc, "derivation", (Images, poly)).images)
+    f.h = _field(doc, "h", poly)
     f.delta = cache(lambda: _derivation(f.delta_images, doc))
     f.member = () if l is None else (_IS_MEMBER,)
     f.regular = all(g.is_t_regular() for g in f.delta_images) and f.h.is_t_regular()
@@ -410,16 +420,12 @@ def _conjugation_fields(doc: dict, poly) -> SimpleNamespace:
     """The fields of a conjugation, which a family document holds too."""
     f = _pair_fields(doc, poly)
     f.ring_mode = _field(doc, "ring_mode", str)
-    f.tau_images = _field(doc, "tau", [poly])
-    f.tau_inv_images = _field(doc, "tau_inv", [poly])
+    f.tau = _field(doc, "tau", (PolyEndo, poly))
+    f.tau_inv = _field(doc, "tau_inv", (PolyEndo, poly))
     f.p = _field(doc, "slice_potential", poly)
-    f.eps_images = _field(doc, "epsilon", [poly])
-    f.phi_images = _field(doc, "automorphism", [poly])
+    f.epsilon = _field(doc, "epsilon", (PolyEndo, poly))
+    f.phi = _field(doc, "automorphism", (PolyEndo, poly))
     f.x = tuple(MultiPoly.variable(f.h.arity, i) for i in range(1, f.h.arity + 1))
-    f.tau = cache(lambda: PolyEndo(f.tau_images))
-    f.tau_inv = cache(lambda: PolyEndo(f.tau_inv_images))
-    f.epsilon = cache(lambda: PolyEndo(f.eps_images))
-    f.phi = cache(lambda: PolyEndo(f.phi_images))
     return f
 
 
@@ -433,12 +439,11 @@ def _verify_family(doc: dict) -> tuple:
     f = _conjugation_fields(doc, poly)
     f.g2 = _field(doc, "g2", poly)
     f.g3 = _field(doc, "g3", poly)
-    f.dz_images = _field(doc, "derivation_at_zero", [poly])
+    f.dz_images = _field(doc, "derivation_at_zero", (Images, poly)).images
     f.h_limit = _field(doc, "h_limit", poly)
-    f.fiber_images = _field(doc, "fiber_at_zero", [poly])
+    f.fiber = _field(doc, "fiber_at_zero", (PolyEndo, poly))
     f.wild = _field(doc, "wildness", {**_FLAG_KEYS, "verdict": str})
     f.delta_zero = cache(lambda: _derivation(f.dz_images, doc))
-    f.fiber = cache(lambda: PolyEndo(f.fiber_images))
     x1, x2, x3 = f.x
     t = MultiPoly.parameter(arity)
     # the closed formulas read c_0..c_l
@@ -471,7 +476,7 @@ def _verify_family(doc: dict) -> tuple:
         ("derivation kills g2", lambda f: f.delta().apply(f.g2).is_zero()),
         ("derivation kills g3", lambda f: f.delta().apply(f.g3).is_zero()),
         _KILLS_H,
-        ("tau is (x1, g2, g3)", lambda f: f.tau_images == (x1, f.g2, f.g3)),
+        ("tau is (x1, g2, g3)", lambda f: f.tau.images == (x1, f.g2, f.g3)),
         _TAU_TRIANGULAR,
         _TAU_INVERTS,
         _POTENTIAL_IS_H_AT_ZERO,
@@ -482,7 +487,7 @@ def _verify_family(doc: dict) -> tuple:
         _TAU_SENDS_POTENTIAL,
         (
             "epsilon is the elementary shift of x1 by t times the slice potential",
-            lambda f: f.eps_images == (x1 + t * f.p, x2, x3),
+            lambda f: f.epsilon.images == (x1 + t * f.p, x2, x3),
         ),
         _AUTOMORPHISM_IS_EXP,
         _CONJUGATES,
@@ -502,11 +507,11 @@ def _verify_family(doc: dict) -> tuple:
         ),
         (
             "fiber_at_zero is the automorphism at t = 0",
-            lambda f: f.phi().specialize(0) == f.fiber(),
+            lambda f: f.phi.specialize(0) == f.fiber,
         ),
         (
             "fiber_at_zero is exp(h_limit*delta_zero)",
-            lambda f: f.fiber() == f.delta_zero().exp(f.h_limit),
+            lambda f: f.fiber == f.delta_zero().exp(f.h_limit),
         ),
         (
             "wildness flags recompute at t = 0",
@@ -524,7 +529,7 @@ def _verify_conjugation(doc: dict) -> tuple:
         _KILLS_H,
         (
             "tau is x1 followed by the slice images",
-            lambda f: f.tau_images == (f.x[0], *f.delta().kernel_generators()),
+            lambda f: f.tau.images == (f.x[0], *f.delta().kernel_generators()),
         ),
         _TAU_TRIANGULAR,
         _TAU_INVERTS,
@@ -532,7 +537,7 @@ def _verify_conjugation(doc: dict) -> tuple:
         _TAU_SENDS_POTENTIAL,
         (
             "epsilon is the elementary shift of x1 by delta(x1) times the slice potential",
-            lambda f: f.eps_images == (f.x[0] + f.delta_images[0] * f.p, *f.x[1:]),
+            lambda f: f.epsilon.images == (f.x[0] + f.delta_images[0] * f.p, *f.x[1:]),
         ),
         _AUTOMORPHISM_IS_EXP,
         _CONJUGATES,
@@ -548,7 +553,7 @@ def _verify_wildness(doc: dict) -> tuple:
     f.flags = _field(doc, "flags", _FLAG_KEYS)
     f.residues = _field(doc, "residues", _RESIDUE_KEYS)
     f.verdict = _field(doc, "verdict", str)
-    f.fiber_images = _field(doc, "fiber_at_zero", [poly])
+    f.fiber = _field(doc, "fiber_at_zero", (PolyEndo, poly))
     f.report = cache(lambda: check_wild_at_zero(f.delta(), f.h))
     return f, (
         *f.member,
@@ -570,7 +575,7 @@ def _verify_wildness(doc: dict) -> tuple:
         ("verdict matches the flags", lambda f: f.verdict == f.report().verdict),
         (
             "fiber_at_zero is exp(h*delta) at t = 0",
-            lambda f: PolyEndo(f.fiber_images) == f.delta().exp(f.h).specialize(0),
+            lambda f: f.fiber == f.delta().exp(f.h).specialize(0),
         ),
     )
 
@@ -579,29 +584,24 @@ def _verify_word(doc: dict) -> tuple:
     poly = partial(parse_poly, arity=_field(doc, "arity", int))
     alpha = _field(doc, "alpha", _rational)
     f = _pair_fields(doc, poly)
-    factors = _field(doc, "factors", [[poly]])
+    f.factors = _field(doc, "factors", [(PolyEndo, poly)])
     kinds = _field(doc, "factor_kinds", [str])
-    if len(kinds) != len(factors):
+    if len(kinds) != len(f.factors):
         raise ParseError("factor_kinds and factors have different lengths")
-    f.fiber_images = _field(doc, "fiber", [poly])
-    f.fiber = cache(lambda: PolyEndo(f.fiber_images))
-    f.factors = [cache(lambda imgs=imgs: PolyEndo(imgs)) for imgs in factors]
+    f.fiber = _field(doc, "fiber", (PolyEndo, poly))
     return f, (
         *f.member,
-        (
-            "factors compose to the fiber",
-            lambda f: PolyEndo.compose_chain([factor() for factor in f.factors]) == f.fiber(),
-        ),
+        ("factors compose to the fiber", lambda f: PolyEndo.compose_chain(f.factors) == f.fiber),
         (
             "fiber is exp(h*delta) at t = alpha",
-            lambda f: f.delta().exp(f.h).specialize(alpha) == f.fiber(),
+            lambda f: f.delta().exp(f.h).specialize(alpha) == f.fiber,
         ),
         *(
             (
                 f"factor {i + 1} kind recomputes as stated",
-                lambda f, i=i: factor_kind(f.factors[i]()) == kinds[i],
+                lambda f, i=i: factor_kind(f.factors[i]) == kinds[i],
             )
-            for i in range(len(factors))
+            for i in range(len(f.factors))
         ),
         (
             "every factor kind certifies tameness",
@@ -623,28 +623,24 @@ def _verify_stabilization(doc: dict) -> tuple:
         raise ParseError("extended_arity must be arity + 1")
     poly, extended = partial(parse_poly, arity=arity), partial(parse_poly, arity=m)
     f = _pair_fields(doc, poly)
-    f.base_images = _field(doc, "base", [poly])
+    f.base = _field(doc, "base", (PolyEndo, poly))
     # An extension image written as a base image is that image lifted, so
     # the copied text is parsed once.  Past MAX_ARITY, parse_poly refuses
     # every extension image, copies included.
-    copies = dict(zip(doc["base"], f.base_images)) if m <= MAX_ARITY else {}
-    f.ext_images = _field(
+    copies = dict(zip(doc["base"], f.base.images)) if m <= MAX_ARITY else {}
+    f.extension = _field(
         doc,
         "extension",
-        [lambda text: copies[text].extend_arity(m) if text in copies else extended(text)],
+        (PolyEndo, lambda text: copies[text].extend_arity(m) if text in copies else extended(text)),
     )
-    f.gamma_images = _field(doc, "gamma", [extended])
-    f.rho_images = _field(doc, "rho", [extended])
+    f.gamma = _field(doc, "gamma", (PolyEndo, extended))
+    f.rho = _field(doc, "rho", (PolyEndo, extended))
     f.factor_count = _field(doc, "factor_count", int)
     f.bounds = _field(doc, "length_bounds", {k: type(v) for k, v in _LENGTH_BOUNDS.items()})
-    f.base = cache(lambda: PolyEndo(f.base_images))
-    f.extension = cache(lambda: PolyEndo(f.ext_images))
-    f.gamma = cache(lambda: PolyEndo(f.gamma_images))
-    f.rho = cache(lambda: PolyEndo(f.rho_images))
     # (gamma_inv, rho_inv, gamma, rho): the certificate derives the inverses
     f.word = cache(
         lambda: StabilizationCertificate(
-            f.delta(), f.h, f.base(), f.extension(), f.gamma(), f.rho()
+            f.delta(), f.h, f.base, f.extension, f.gamma, f.rho
         ).factor_word()
     )
     f.composed = cache(lambda: compose_commutator(*f.word()))
@@ -657,23 +653,23 @@ def _verify_stabilization(doc: dict) -> tuple:
     checks = [
         *f.member,
         _KILLS_H,
-        ("base is exp(h*delta)", lambda f: f.base() == f.delta().exp(f.h)),
+        ("base is exp(h*delta)", lambda f: f.base == f.delta().exp(f.h)),
         (
             "extension is the base with the new variable fixed",
-            lambda f: f.extension() == f.base().extend_arity(m),
+            lambda f: f.extension == f.base.extend_arity(m),
         ),
         (
             "gamma shifts the new variable by h",
-            lambda f: f.gamma_images == (*x[:-1], x[-1] + f.h.extend_arity(m)),
+            lambda f: f.gamma.images == (*x[:-1], x[-1] + f.h.extend_arity(m)),
         ),
         (
             "rho is exp of the new variable against the extended derivation",
-            lambda f: f.rho() == f.delta().extend_arity(m).exp(x[-1]),
+            lambda f: f.rho == f.delta().extend_arity(m).exp(x[-1]),
         ),
         ("gamma and rho invert exactly", inverts),
         (
             "the commutator word composes to the extension",
-            lambda f: f.composed() == f.extension(),
+            lambda f: f.composed() == f.extension,
             *_WORD_PREMISES,
         ),
     ]
@@ -682,7 +678,7 @@ def _verify_stabilization(doc: dict) -> tuple:
             (
                 f"the word specializes at t = {alpha}",
                 lambda f, alpha=alpha: f.composed().specialize(alpha)
-                == f.extension().specialize(alpha),
+                == f.extension.specialize(alpha),
                 *_WORD_PREMISES,
             )
             for alpha in (0, 1, -1)

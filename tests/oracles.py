@@ -8,8 +8,9 @@ orders, testing each against the definition of a triangular map, where
 the library walks a dependency graph.  The exponential
 oracles sum each series in its own loop, as written in the paper.  The
 substitution oracle expands term by term, where the library groups terms
-one variable at a time and shares each image's powers.  The text reader
-follows README's grammar with regular expressions, where the library
+one variable at a time and shares each image's powers; the composition
+oracle expands the same way, on maps read by the text reader.  The text
+reader follows README's grammar with regular expressions, where the library
 scans packed terms straight out of the text.
 """
 
@@ -227,19 +228,31 @@ def ref_decode(terms, arity, slot_bits):
 # its key, times each image power, taken by repeated multiplication.
 
 
+def _ref_at(terms, images, arity):
+    """The reference dict ``terms`` at x_i = images[i-1], dicts of ``arity``."""
+    total = {}
+    for key, c in terms.items():
+        *powers, t_exp = key
+        value = {(0,) * arity + (t_exp,): c}
+        for image, e in zip(images, powers):
+            for _ in range(e):
+                value = ref_mul(value, image)
+        total = ref_add(total, value)
+    return total
+
+
 def ref_substitute(poly, images):
     """poly at x_i = images[i-1], a MultiPoly of the images' arity."""
     m = images[0].arity
     image_terms = [dict(image.terms()) for image in images]
-    total = {}
-    for key, c in poly.terms():
-        *powers, t_exp = key
-        value = {(0,) * m + (t_exp,): c}
-        for image, e in zip(image_terms, powers):
-            for _ in range(e):
-                value = ref_mul(value, image)
-        total = ref_add(total, value)
-    return MultiPoly(m, total)
+    return MultiPoly(m, _ref_at(dict(poly.terms()), image_terms, m))
+
+
+def ref_compose(outer, inner, arity):
+    """outer o inner, for maps given as lists of ``ref_read`` dicts of one
+    arity: each image of inner with x_i replaced by image i of outer, the
+    convention of ``PolyEndo.compose``."""
+    return [_ref_at(image, outer, arity) for image in inner]
 
 
 # --------------------------------------------------------- variable orders

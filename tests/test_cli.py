@@ -570,6 +570,47 @@ def test_an_edit_that_keeps_the_values_exits_two_and_names_its_field(
     assert field in err
 
 
+def _resize(field, grow, index):
+    """Drop the last image of a map field, or repeat it when ``grow``."""
+
+    def edit(doc):
+        images = doc[field] if index is None else doc[field][index]
+        if grow:
+            images.append(images[-1])
+        else:
+            images.pop()
+
+    return edit
+
+
+_MAP_FIELDS = [
+    (["family", "--l", "1"], "tau", None),
+    (["family", "--l", "1"], "derivation_at_zero", None),
+    (["specialize", "--l", "1", "--alpha=0"], "derivation", None),
+    (["specialize", "--l", "1", "--alpha=0"], "fiber_at_zero", None),
+    (["specialize", "--l", "1", "--alpha=5/3"], "factors", 1),
+    (["specialize", "--l", "1", "--alpha=5/3"], "fiber", None),
+    (["smith", "--l", "1"], "gamma", None),
+    (["smith", "--l", "1"], "extension", None),
+]
+
+
+@pytest.mark.parametrize("grow", [False, True], ids=["image dropped", "image repeated"])
+@pytest.mark.parametrize(
+    "argv, field, index",
+    _MAP_FIELDS,
+    ids=[f"{argv[0]} {field}" + ("" if i is None else f"[{i}]") for argv, field, i in _MAP_FIELDS],
+)
+def test_a_map_whose_image_count_is_not_its_arity_exits_two_and_names_its_field(
+    tmp_path, capsys, argv, field, index, grow
+):
+    code, err = _verify_edited(tmp_path, capsys, argv, _resize(field, grow, index))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert repr(field) + ("" if index is None else f"[{index}]") in err
+    assert "does not match count" in err
+
+
 def test_a_polynomial_coefficient_out_of_lowest_terms_reads_at_its_value(tmp_path, capsys):
     # -8/3 written as -16/6 keeps the value and verifies; -16/7 does not
     argv = ["smith", "--l", "1"]

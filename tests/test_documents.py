@@ -1,6 +1,7 @@
 """Emission and independent re-verification of certificate documents."""
 
 import copy
+import functools
 import json
 import re
 from fractions import Fraction
@@ -8,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import family
-from oracles import ref_read, ref_render
+from oracles import ref_compose, ref_read, ref_render
 from polydegen import MultiPoly, documents, parse_poly
 from polydegen.cli import build_parser, cmd_verify
 from polydegen.derivation import TriangularDerivation
@@ -611,3 +612,33 @@ def test_emitted_text_reads_and_renders_as_the_reference_does():
                 poly = parse_poly(text, arity)
                 assert ref_read(text, arity) == dict(poly.terms()), (doc["kind"], field, text)
                 assert ref_render(poly) == text, (doc["kind"], field, text)
+
+
+def _ref_map(doc, field):
+    return [ref_read(text, doc["arity"]) for text in doc[field]]
+
+
+def _claims(doc, identity):
+    return {"identity": identity, "pass": True} in doc["transcript"]
+
+
+def test_composition_identities_rederive_with_the_reference_operations():
+    # the composites an emitted document claims, recomputed from its text
+    # with ref_read, ref_mul and ref_add alone
+    for l in (1, 2, 3):
+        cert = family(l)
+        doc = family_document(l, cert)
+        n = doc["arity"]
+        tau, epsilon, tau_inv = (_ref_map(doc, key) for key in ("tau", "epsilon", "tau_inv"))
+        identity = [{tuple(int(i == j) for j in range(n)) + (0,): 1} for i in range(n)]
+        assert _claims(doc, "tau o epsilon o tau_inv equals the automorphism")
+        composed = ref_compose(ref_compose(tau, epsilon, n), tau_inv, n)
+        assert composed == _ref_map(doc, "automorphism"), l
+        assert _claims(doc, "tau and tau_inv are mutually inverse")
+        assert ref_compose(tau, tau_inv, n) == ref_compose(tau_inv, tau, n) == identity, l
+        for alpha in (Fraction(5, 3), Fraction(-7, 11)):
+            word = word_document(specialized_tameness(cert, alpha), cert.delta, cert.h, l=l)
+            factors = [[ref_read(text, n) for text in factor] for factor in word["factors"]]
+            assert _claims(word, "factors compose to the fiber")
+            composed = functools.reduce(lambda a, b: ref_compose(a, b, n), factors)
+            assert composed == _ref_map(word, "fiber"), (l, alpha)
