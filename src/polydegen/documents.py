@@ -2,21 +2,21 @@
 
 Every CLI payload is a JSON document that embeds all of its own data as
 canonical polynomial text plus a transcript of exact identities.  Each
-document kind has one ordered check list, in its verifier here, and that
-list is the only place its identities are written: the constructors only
-build.  A builder names the fields, and ``_document`` renders them as text,
-runs the kind's verifier on them, refuses to emit unless every identity
-passes, and stores the transcript it just computed; ``verify`` runs the
-same verifier.  A verifier reads every field through one reader, which
-requires the document to have exactly its kind's keys, each field its
-type, a dict field exactly its keys and a list field items of its type;
-it reads a polynomial or a rational only as the canonical text that
-``str`` writes.  It reparses every field from text and recomputes every
-identity from scratch, so an edit to an embedded value either makes the
-document unreadable or flips at least one transcript line.  One edit
+document kind's fields are written once, in ``_SCHEMAS``, and its
+identities once, in its verifier's ordered check list: the constructors
+only build.  A builder names the fields, and ``_document`` renders them as
+text in schema order, runs the kind's verifier on them, refuses to emit
+unless every identity passes, and stores the transcript it just computed;
+``verify`` runs the same verifier.  One reader reads every field by the
+schema: a document must have exactly its kind's keys, each field its
+type, a dict field exactly its keys and a list field items of its type,
+and a polynomial or a rational is read only as the canonical text that
+``str`` writes.  A verifier reparses every field from text and recomputes
+every identity from scratch, so an edit to an embedded value either makes
+the document unreadable or flips at least one transcript line.  One edit
 keeps a document verified: a polynomial coefficient rewritten out of
-lowest terms, which reads at its value.  A derivation whose exp or
-sigma series could outgrow the document's length (``_series_bound``) is
+lowest terms, which reads at its value.  A derivation whose exp or sigma
+series could outgrow the document's length (``_series_bound``) is
 refused, which fails each identity that uses it.  A wildness,
 tameness_word or stabilization document may leave out ``l``; when it
 states one, its first identity checks that the derivation and h are that
@@ -25,9 +25,6 @@ family member.
 This module is the only reader of documents: ``read_document`` reads a
 file, ``verify_report`` writes what ``verify`` prints, and ``family_l``
 reads the family member that ``specialize --in`` rebuilds.
-
-Document kinds: family, conjugation, wildness, tameness_word,
-stabilization.
 """
 
 from __future__ import annotations
@@ -68,22 +65,6 @@ _RESIDUE_KEYS = dict.fromkeys(("f2", "h", "derivative"), str)
 
 
 # ------------------------------------------------------------ field parsing
-
-
-class _Fields(dict):
-    """A document's top-level fields, recording the keys that were read.
-
-    The header keys, and the transcript that only ``verify`` reads, count
-    as read.
-    """
-
-    def __init__(self, doc: dict):
-        super().__init__(doc)
-        self.read = {"format_version", "kind", "transcript"}
-
-    def __getitem__(self, key):
-        self.read.add(key)
-        return super().__getitem__(key)
 
 
 def _field(doc: dict, key: str, kind):
@@ -135,6 +116,90 @@ def _rational(text: str) -> Fraction:
     return value
 
 
+# Each kind's fields in the order a document states them, each with the
+# ``_typed`` kind it is read as; ``_resolved`` reads a placeholder as a
+# polynomial, map or derivation at the document's arity, or a map at its
+# extended_arity.  Only ``l`` may be left out, and not from a family.
+_POLY, _MAP, _DERIVATION, _OPTIONAL_INT = "polynomial", "map", "derivation", "optional int"
+_EXTENDED_MAP, _EXTENSION = "map at extended_arity", "map at extended_arity, base copies lifted"
+
+_SCHEMAS = {
+    "family": {
+        "l": int, "arity": int, "ring_mode": str, "coefficients": [_rational],
+        "derivation": _DERIVATION, "g2": _POLY, "g3": _POLY, "tau": _MAP, "tau_inv": _MAP,
+        "slice_potential": _POLY, "epsilon": _MAP, "h": _POLY, "automorphism": _MAP,
+        "derivation_at_zero": _DERIVATION, "h_limit": _POLY, "fiber_at_zero": _MAP,
+        "wildness": {**_FLAG_KEYS, "verdict": str},
+    },
+    "conjugation": {
+        "arity": int, "ring_mode": str, "derivation": _DERIVATION, "h": _POLY, "tau": _MAP,
+        "tau_inv": _MAP, "slice_potential": _POLY, "epsilon": _MAP, "automorphism": _MAP,
+    },
+    "wildness": {
+        "arity": int, "l": _OPTIONAL_INT, "derivation": _DERIVATION, "h": _POLY,
+        "flags": _FLAG_KEYS, "residues": _RESIDUE_KEYS, "verdict": str, "fiber_at_zero": _MAP,
+    },
+    "tameness_word": {
+        "arity": int, "l": _OPTIONAL_INT, "alpha": _rational, "derivation": _DERIVATION,
+        "h": _POLY, "factors": [_MAP], "factor_kinds": [str], "fiber": _MAP,
+    },
+    "stabilization": {
+        "arity": int, "extended_arity": int, "l": _OPTIONAL_INT, "derivation": _DERIVATION,
+        "h": _POLY, "base": _MAP, "extension": _EXTENSION, "gamma": _EXTENDED_MAP,
+        "rho": _EXTENDED_MAP, "factor_count": int,
+        "length_bounds": {k: type(v) for k, v in _LENGTH_BOUNDS.items()},
+    },
+}
+_FIXED_ARITY = {"family": 3, "wildness": 3}  # the arity a kind must state
+
+
+def _resolved(kind, f: SimpleNamespace, doc: dict):
+    """The ``_typed`` kind a schema entry names, a placeholder resolved to
+    its reader at the arity that ``f`` has already read."""
+    if isinstance(kind, list):
+        return [_resolved(kind[0], f, doc)]
+    if not isinstance(kind, str):
+        return kind
+    if kind == _OPTIONAL_INT:
+        return int
+    n = f.extended_arity if kind in (_EXTENDED_MAP, _EXTENSION) else f.arity
+    read = partial(parse_poly, arity=n)
+    if kind == _POLY:
+        return read
+    if kind == _EXTENSION:
+        # An extension image written as a base image is that image lifted,
+        # so the copied text is parsed once.  Past MAX_ARITY, parse_poly
+        # refuses every extension image, copies included.
+        copies = dict(zip(doc["base"], f.base.images)) if n <= MAX_ARITY else {}
+        return PolyEndo, lambda text: copies[text].extend_arity(n) if text in copies else read(text)
+    return (Images if kind == _DERIVATION else PolyEndo, read)
+
+
+def _read_fields(doc: dict, kind: str, keys=None) -> SimpleNamespace:
+    """A ``kind`` document's fields, read in schema order into one attribute
+    each (``l`` None when left out), after refusing a key the kind lacks.
+    A wrong arity is refused as soon as it is read, before any polynomial.
+    ``keys`` reads only those fields, at the ``_FIXED_ARITY``, and refuses
+    no key: ``family_l`` reads the family member so."""
+    schema = _SCHEMAS[kind]
+    if keys is None:
+        keys = schema
+        unknown = doc.keys() - schema.keys() - {"format_version", "kind", "transcript"}
+        if unknown:
+            raise ParseError(f"document has the unknown field {min(unknown)!r}")
+    f = SimpleNamespace(l=None, arity=_FIXED_ARITY.get(kind))
+    for key in keys:
+        if key not in doc and schema[key] == _OPTIONAL_INT:
+            continue
+        value = _field(doc, key, _resolved(schema[key], f, doc))
+        if key == "arity" and kind in _FIXED_ARITY and value != f.arity:
+            raise ParseError(f"{kind} documents have arity {f.arity}")
+        if key == "extended_arity" and value != f.arity + 1:
+            raise ParseError("extended_arity must be arity + 1")
+        setattr(f, key, value)
+    return f
+
+
 # ------------------------------------------------------------------ builders
 
 
@@ -149,13 +214,13 @@ def _render(value):
 
 
 def _document(kind: str, **fields) -> dict:
-    """The document of one kind with the given fields, in order, None ones left out.
+    """The document of one kind with the given fields, in schema order, None ones left out.
 
     Runs the kind's check list on it, refuses to emit it unless every
     identity passes, and stores the transcript it just computed.
     """
     doc = {"format_version": FORMAT_VERSION, "kind": kind}
-    doc.update((key, _render(value)) for key, value in fields.items() if value is not None)
+    doc.update((key, _render(fields[key])) for key in _SCHEMAS[kind] if fields[key] is not None)
     transcript = verify_document(doc)
     failed = [entry["identity"] for entry in transcript if not entry["pass"]]
     if failed:
@@ -269,19 +334,18 @@ def stabilization_document(cert: StabilizationCertificate, l: int | None = None)
 
 # ----------------------------------------------------------------- verifiers
 #
-# A verifier parses a document's fields into a namespace ``f`` and returns
-# it with the kind's ordered check list; ``verify_document`` refuses a
-# document with a top-level key the verifier did not read, and then runs
-# the list over ``f``.  An entry is (identity, predicate,
-# *premises): the predicate takes ``f`` (a kind's own predicates may also
-# read the verifier's local constants) and fails by returning False or by
-# raising a PolydegenError, and an entry fails without running when one of
-# its premises, the identities of earlier entries, failed.  A map is read
-# as a map, so one whose image count is not its arity is unreadable.  Only
-# the values whose building can fail an identity or costs products (the
-# derivations, the wildness report and the stabilization word and its
-# composite) are built on first use and cached; an error is raised again on
-# each use, after a cheap validation, and the word composes only behind
+# ``verify_document`` reads a document's fields by its schema into a
+# namespace ``f`` and adds what the pair (derivation, h) implies: the
+# derivation ``f.delta()``, the variables ``f.x``, ``f.member`` (the entry
+# that checks a stated l) and ``f.regular`` (the pair is regular at t = 0).
+# It then runs the kind's check list over ``f``.  An entry is (identity,
+# predicate, *premises): the predicate takes ``f`` and fails by returning
+# False or by raising a PolydegenError, and an entry fails without running
+# when one of its premises, the identities of earlier entries, failed.
+# Only the values whose building can fail an identity or costs products
+# (the derivations, the wildness report and the stabilization word and its
+# composite) are built on first use and cached; an error is raised again
+# on each use, after a cheap validation, and the word composes only behind
 # its premises.
 
 
@@ -311,13 +375,13 @@ def verify_document(doc: dict) -> list[dict]:
     unparseable polynomials); semantic failures come back as failed
     entries, never exceptions.
     """
-    verifier = _VERIFIERS[document_kind(doc)]
-    fields = _Fields(doc)
-    f, checks = verifier(fields)
-    unread = fields.keys() - fields.read
-    if unread:
-        raise ParseError(f"document has the unknown field {min(unread)!r}")
-    return _run(f, checks)
+    kind = document_kind(doc)
+    f = _read_fields(doc, kind)
+    f.delta = cache(lambda: _derivation(f.derivation.images, doc))
+    f.x = tuple(MultiPoly.variable(f.arity, i) for i in range(1, f.arity + 1))
+    f.member = () if f.l is None else (_IS_MEMBER,)
+    f.regular = all(g.is_t_regular() for g in f.derivation.images) and f.h.is_t_regular()
+    return _run(f, _VERIFIERS[kind](f, doc))
 
 
 def _run(f: SimpleNamespace, checks) -> list[dict]:
@@ -335,8 +399,8 @@ def _run(f: SimpleNamespace, checks) -> list[dict]:
     return out
 
 
-# Identities that read the same in several kinds.  _KILLS_H needs ``f.delta``
-# and ``f.h``; the rest read the fields of _conjugation_fields.
+# Identities that read the same in several kinds: the conjugation's, which a
+# family document holds too.
 _RING_MODE = ("ring mode is Q[t,t^-1]", lambda f: f.ring_mode == _BASE_RING)
 _KILLS_H = ("derivation kills h", lambda f: f.delta().apply(f.h).is_zero())
 _TAU_TRIANGULAR = ("tau is triangular over Q[t,t^-1]", lambda f: f.tau.is_triangular())
@@ -346,30 +410,18 @@ _TAU_INVERTS = (
 )
 _POTENTIAL_IS_H_AT_ZERO = (
     "slice potential is h at x1 = 0",
-    lambda f: f.h.substitute([MultiPoly.zero(f.h.arity), *f.x[1:]]) == f.p,
+    lambda f: f.h.substitute([MultiPoly.zero(f.arity), *f.x[1:]]) == f.slice_potential,
 )
-_TAU_SENDS_POTENTIAL = ("tau sends the slice potential to h", lambda f: f.tau.apply(f.p) == f.h)
-_AUTOMORPHISM_IS_EXP = ("automorphism is exp(h*delta)", lambda f: f.phi == f.delta().exp(f.h))
+_TAU_SENDS_POTENTIAL = (
+    "tau sends the slice potential to h", lambda f: f.tau.apply(f.slice_potential) == f.h
+)
+_AUTOMORPHISM_IS_EXP = (
+    "automorphism is exp(h*delta)", lambda f: f.automorphism == f.delta().exp(f.h)
+)
 _CONJUGATES = (
     "tau o epsilon o tau_inv equals the automorphism",
-    lambda f: PolyEndo.compose_chain((f.tau, f.epsilon, f.tau_inv)) == f.phi,
+    lambda f: PolyEndo.compose_chain((f.tau, f.epsilon, f.tau_inv)) == f.automorphism,
 )
-
-
-def _pair_fields(doc: dict, poly) -> SimpleNamespace:
-    """The pair (derivation, h) that every kind states, read in that order
-    with the polynomial reader ``poly``: ``f.delta_images``, ``f.h`` and the
-    derivation ``f.delta()``, after the ``l`` a document may state: ``f.l``,
-    None when it states none.  Also what the pair implies: ``f.member``, the
-    entries that check the stated l (none when it states none), and
-    ``f.regular``, whether the derivation and h are regular at t = 0."""
-    l = _field(doc, "l", int) if "l" in doc else None
-    f = SimpleNamespace(l=l, delta_images=_field(doc, "derivation", (Images, poly)).images)
-    f.h = _field(doc, "h", poly)
-    f.delta = cache(lambda: _derivation(f.delta_images, doc))
-    f.member = () if l is None else (_IS_MEMBER,)
-    f.regular = all(g.is_t_regular() for g in f.delta_images) and f.h.is_t_regular()
-    return f
 
 
 # The longest exp or sigma series a document may ask for: _SERIES_FLOOR
@@ -395,17 +447,17 @@ def _derivation(images: tuple, doc: dict) -> TriangularDerivation:
 
 
 def _is_member(f: SimpleNamespace) -> bool:
-    """Whether the pair that ``_pair_fields`` read is family member ``f.l``,
-    cheapest test first.  An honest h has 2l + 3 terms, so l is bounded by
-    the term count of h before any member is built, and neither the check
-    nor a rebuild outgrows the document.  x1/t is a slice, so an element of
-    the kernel is fixed by its value at x1 = 0."""
+    """Whether the pair (derivation, h) that ``f`` read is family member
+    ``f.l``, cheapest test first.  An honest h has 2l + 3 terms, so l is
+    bounded by the term count of h before any member is built, and neither
+    the check nor a rebuild outgrows the document.  x1/t is a slice, so an
+    element of the kernel is fixed by its value at x1 = 0."""
     if not 1 <= f.l <= f.h.term_count():
         return False
     delta = family_derivation(f.l)
     x2, x3 = MultiPoly.variable(3, 2), MultiPoly.variable(3, 3)
     return (
-        f.delta_images == delta.images
+        f.derivation.images == delta.images
         and delta.apply(f.h).is_zero()
         and f.h.substitute([MultiPoly.zero(3), x2, x3])
         == family_potential(f.l, slice_coefficients(f.l)[f.l])
@@ -416,46 +468,21 @@ def _is_member(f: SimpleNamespace) -> bool:
 _IS_MEMBER = ("derivation and h are family member l", _is_member)
 
 
-def _conjugation_fields(doc: dict, poly) -> SimpleNamespace:
-    """The fields of a conjugation, which a family document holds too."""
-    f = _pair_fields(doc, poly)
-    f.ring_mode = _field(doc, "ring_mode", str)
-    f.tau = _field(doc, "tau", (PolyEndo, poly))
-    f.tau_inv = _field(doc, "tau_inv", (PolyEndo, poly))
-    f.p = _field(doc, "slice_potential", poly)
-    f.epsilon = _field(doc, "epsilon", (PolyEndo, poly))
-    f.phi = _field(doc, "automorphism", (PolyEndo, poly))
-    f.x = tuple(MultiPoly.variable(f.h.arity, i) for i in range(1, f.h.arity + 1))
-    return f
-
-
-def _verify_family(doc: dict) -> tuple:
-    l = _field(doc, "l", int)
-    arity = _field(doc, "arity", int)
-    if arity != 3:
-        raise ParseError("family documents have arity 3")
-    coeffs = _field(doc, "coefficients", [_rational])
-    poly = partial(parse_poly, arity=arity)
-    f = _conjugation_fields(doc, poly)
-    f.g2 = _field(doc, "g2", poly)
-    f.g3 = _field(doc, "g3", poly)
-    f.dz_images = _field(doc, "derivation_at_zero", (Images, poly)).images
-    f.h_limit = _field(doc, "h_limit", poly)
-    f.fiber = _field(doc, "fiber_at_zero", (PolyEndo, poly))
-    f.wild = _field(doc, "wildness", {**_FLAG_KEYS, "verdict": str})
-    f.delta_zero = cache(lambda: _derivation(f.dz_images, doc))
+def _verify_family(f: SimpleNamespace, doc: dict) -> tuple:
+    l, coeffs = f.l, f.coefficients
+    f.delta_zero = cache(lambda: _derivation(f.derivation_at_zero.images, doc))
     x1, x2, x3 = f.x
-    t = MultiPoly.parameter(arity)
+    t = MultiPoly.parameter(3)
     # the closed formulas read c_0..c_l
     counted = l >= 1 and len(coeffs) == l + 1
 
     def g3_formula(f) -> bool:
         expected = x3
         for i in range(l + 1):
-            expected = expected + MultiPoly(arity, {(2 * i + 1, l - i, 0, -(i + 1)): coeffs[i]})
+            expected = expected + MultiPoly(3, {(2 * i + 1, l - i, 0, -(i + 1)): coeffs[i]})
         return expected == f.g3
 
-    return f, (
+    return (
         _RING_MODE,
         ("l is at least 1 and matches the coefficient count", lambda f: counted),
         ("coefficients start at l+1", lambda f: bool(coeffs) and coeffs[0] == l + 1),
@@ -468,7 +495,7 @@ def _verify_family(doc: dict) -> tuple:
         ),
         (
             "derivation is (t, x1, -(l+1)*x2^l)",
-            lambda f: f.delta_images == family_derivation(l).images,
+            lambda f: f.derivation.images == family_derivation(l).images,
         ),
         ("g2 is the slice image of x2", lambda f: f.delta().sigma(x2) == f.g2),
         ("g3 is the slice image of x3", lambda f: f.delta().sigma(x3) == f.g3),
@@ -482,12 +509,14 @@ def _verify_family(doc: dict) -> tuple:
         _POTENTIAL_IS_H_AT_ZERO,
         (
             "slice potential matches its closed formula",
-            lambda f: counted and bool(coeffs[l]) and family_potential(l, coeffs[l]) == f.p,
+            lambda f: counted
+            and bool(coeffs[l])
+            and family_potential(l, coeffs[l]) == f.slice_potential,
         ),
         _TAU_SENDS_POTENTIAL,
         (
             "epsilon is the elementary shift of x1 by t times the slice potential",
-            lambda f: f.epsilon.images == (x1 + t * f.p, x2, x3),
+            lambda f: f.epsilon.images == (x1 + t * f.slice_potential, x2, x3),
         ),
         _AUTOMORPHISM_IS_EXP,
         _CONJUGATES,
@@ -503,29 +532,28 @@ def _verify_family(doc: dict) -> tuple:
         ),
         (
             "derivation_at_zero is the derivation at t = 0",
-            lambda f: f.dz_images == tuple(g.specialize_t(0) for g in f.delta_images),
+            lambda f: f.derivation_at_zero == f.derivation.specialize(0),
         ),
         (
             "fiber_at_zero is the automorphism at t = 0",
-            lambda f: f.phi.specialize(0) == f.fiber,
+            lambda f: f.automorphism.specialize(0) == f.fiber_at_zero,
         ),
         (
             "fiber_at_zero is exp(h_limit*delta_zero)",
-            lambda f: f.fiber == f.delta_zero().exp(f.h_limit),
+            lambda f: f.fiber_at_zero == f.delta_zero().exp(f.h_limit),
         ),
         (
             "wildness flags recompute at t = 0",
-            lambda f: f.wild == _wildness_fields(check_wild_at_zero(f.delta(), f.h)),
+            lambda f: f.wildness == _wildness_fields(check_wild_at_zero(f.delta(), f.h)),
         ),
-        ("wildness verdict is wild", lambda f: f.wild["verdict"] == WILD),
+        ("wildness verdict is wild", lambda f: f.wildness["verdict"] == WILD),
     )
 
 
-def _verify_conjugation(doc: dict) -> tuple:
-    f = _conjugation_fields(doc, partial(parse_poly, arity=_field(doc, "arity", int)))
-    return f, (
+def _verify_conjugation(f: SimpleNamespace, doc: dict) -> tuple:
+    return (
         _RING_MODE,
-        ("delta(x1) is a unit scalar of Q[t,t^-1]", lambda f: f.delta_images[0].is_unit()),
+        ("delta(x1) is a unit scalar of Q[t,t^-1]", lambda f: f.derivation.images[0].is_unit()),
         _KILLS_H,
         (
             "tau is x1 followed by the slice images",
@@ -537,31 +565,23 @@ def _verify_conjugation(doc: dict) -> tuple:
         _TAU_SENDS_POTENTIAL,
         (
             "epsilon is the elementary shift of x1 by delta(x1) times the slice potential",
-            lambda f: f.epsilon.images == (f.x[0] + f.delta_images[0] * f.p, *f.x[1:]),
+            lambda f: f.epsilon.images
+            == (f.x[0] + f.derivation.images[0] * f.slice_potential, *f.x[1:]),
         ),
         _AUTOMORPHISM_IS_EXP,
         _CONJUGATES,
     )
 
 
-def _verify_wildness(doc: dict) -> tuple:
-    arity = _field(doc, "arity", int)
-    if arity != 3:
-        raise ParseError("wildness documents have arity 3")
-    poly = partial(parse_poly, arity=arity)
-    f = _pair_fields(doc, poly)
-    f.flags = _field(doc, "flags", _FLAG_KEYS)
-    f.residues = _field(doc, "residues", _RESIDUE_KEYS)
-    f.verdict = _field(doc, "verdict", str)
-    f.fiber = _field(doc, "fiber_at_zero", (PolyEndo, poly))
+def _verify_wildness(f: SimpleNamespace, doc: dict) -> tuple:
     f.report = cache(lambda: check_wild_at_zero(f.delta(), f.h))
-    return f, (
+    return (
         *f.member,
         ("derivation and h are regular at t = 0", lambda f: f.regular),
         (
             "delta(x1) is a scalar vanishing at t = 0",
-            lambda f: f.delta_images[0].is_constant()
-            and f.delta_images[0].specialize_t(0).is_zero(),
+            lambda f: f.derivation.images[0].is_constant()
+            and f.derivation.images[0].specialize_t(0).is_zero(),
         ),
         _KILLS_H,
         *(
@@ -575,37 +595,31 @@ def _verify_wildness(doc: dict) -> tuple:
         ("verdict matches the flags", lambda f: f.verdict == f.report().verdict),
         (
             "fiber_at_zero is exp(h*delta) at t = 0",
-            lambda f: f.fiber == f.delta().exp(f.h).specialize(0),
+            lambda f: f.fiber_at_zero == f.delta().exp(f.h).specialize(0),
         ),
     )
 
 
-def _verify_word(doc: dict) -> tuple:
-    poly = partial(parse_poly, arity=_field(doc, "arity", int))
-    alpha = _field(doc, "alpha", _rational)
-    f = _pair_fields(doc, poly)
-    f.factors = _field(doc, "factors", [(PolyEndo, poly)])
-    kinds = _field(doc, "factor_kinds", [str])
-    if len(kinds) != len(f.factors):
+def _verify_word(f: SimpleNamespace, doc: dict) -> tuple:
+    if len(f.factor_kinds) != len(f.factors):
         raise ParseError("factor_kinds and factors have different lengths")
-    f.fiber = _field(doc, "fiber", (PolyEndo, poly))
-    return f, (
+    return (
         *f.member,
         ("factors compose to the fiber", lambda f: PolyEndo.compose_chain(f.factors) == f.fiber),
         (
             "fiber is exp(h*delta) at t = alpha",
-            lambda f: f.delta().exp(f.h).specialize(alpha) == f.fiber,
+            lambda f: f.delta().exp(f.h).specialize(f.alpha) == f.fiber,
         ),
         *(
             (
                 f"factor {i + 1} kind recomputes as stated",
-                lambda f, i=i: factor_kind(f.factors[i]) == kinds[i],
+                lambda f, i=i: factor_kind(f.factors[i]) == f.factor_kinds[i],
             )
             for i in range(len(f.factors))
         ),
         (
             "every factor kind certifies tameness",
-            lambda f: all(kind in TAME_KINDS for kind in kinds),
+            lambda f: all(kind in TAME_KINDS for kind in f.factor_kinds),
         ),
     )
 
@@ -616,27 +630,8 @@ def _verify_word(doc: dict) -> tuple:
 _WORD_PREMISES = ("derivation kills h", "gamma and rho invert exactly")
 
 
-def _verify_stabilization(doc: dict) -> tuple:
-    arity = _field(doc, "arity", int)
-    m = _field(doc, "extended_arity", int)
-    if m != arity + 1:
-        raise ParseError("extended_arity must be arity + 1")
-    poly, extended = partial(parse_poly, arity=arity), partial(parse_poly, arity=m)
-    f = _pair_fields(doc, poly)
-    f.base = _field(doc, "base", (PolyEndo, poly))
-    # An extension image written as a base image is that image lifted, so
-    # the copied text is parsed once.  Past MAX_ARITY, parse_poly refuses
-    # every extension image, copies included.
-    copies = dict(zip(doc["base"], f.base.images)) if m <= MAX_ARITY else {}
-    f.extension = _field(
-        doc,
-        "extension",
-        (PolyEndo, lambda text: copies[text].extend_arity(m) if text in copies else extended(text)),
-    )
-    f.gamma = _field(doc, "gamma", (PolyEndo, extended))
-    f.rho = _field(doc, "rho", (PolyEndo, extended))
-    f.factor_count = _field(doc, "factor_count", int)
-    f.bounds = _field(doc, "length_bounds", {k: type(v) for k, v in _LENGTH_BOUNDS.items()})
+def _verify_stabilization(f: SimpleNamespace, doc: dict) -> list:
+    m = f.extended_arity
     # (gamma_inv, rho_inv, gamma, rho): the certificate derives the inverses
     f.word = cache(
         lambda: StabilizationCertificate(
@@ -685,19 +680,19 @@ def _verify_stabilization(doc: dict) -> tuple:
         ]
     checks += [
         ("factor_count is 4", lambda f: f.factor_count == 4),
-        ("stated length bounds are (3, 4)", lambda f: f.bounds == _LENGTH_BOUNDS),
+        ("stated length bounds are (3, 4)", lambda f: f.length_bounds == _LENGTH_BOUNDS),
     ]
-    return f, checks
+    return checks
 
 
 def family_l(doc: dict) -> int:
     """The l of a family document that holds member l, for ``specialize --in``."""
     if document_kind(doc) != "family":
         raise ParseError("--in expects a family document")
-    l = _field(doc, "l", int)
-    if not _is_member(_pair_fields(doc, partial(parse_poly, arity=3))):
-        raise ParseError(f"family document's derivation and h are not family member {l}")
-    return l
+    f = _read_fields(doc, "family", ("l", "derivation", "h"))
+    if not _is_member(f):
+        raise ParseError(f"family document's derivation and h are not family member {f.l}")
+    return f.l
 
 
 _VERIFIERS = {

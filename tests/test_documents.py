@@ -571,18 +571,23 @@ def test_every_edit_of_every_document_is_caught(docs, tmp_path):
     assert allowed
 
 
-# the polynomial fields of each emitted kind; those of the stabilization's
-# extended maps are at its extended arity
+# the polynomial fields of each emitted kind, as the schema reads them, and
+# the residues, polynomial text compared as text; those of the
+# stabilization's extended maps are at its extended arity
+_EXTENDED_READERS = (documents._EXTENDED_MAP, documents._EXTENSION)
+_POLY_READERS = (documents._POLY, documents._MAP, documents._DERIVATION, *_EXTENDED_READERS)
 _POLY_FIELDS = {
-    "family": (
-        "derivation", "g2", "g3", "tau", "tau_inv", "slice_potential", "epsilon", "h",
-        "automorphism", "derivation_at_zero", "h_limit", "fiber_at_zero",
-    ),
-    "wildness": ("derivation", "h", "residues", "fiber_at_zero"),
-    "tameness_word": ("derivation", "h", "factors", "fiber"),
-    "stabilization": ("derivation", "h", "base", "extension", "gamma", "rho"),
+    kind: tuple(
+        key
+        for key, read in schema.items()
+        if key == "residues" or (read[0] if isinstance(read, list) else read) in _POLY_READERS
+    )
+    for kind, schema in documents._SCHEMAS.items()
+    if kind != "conjugation"
 }
-_EXTENDED = ("extension", "gamma", "rho")
+_EXTENDED = tuple(
+    key for key, read in documents._SCHEMAS["stabilization"].items() if read in _EXTENDED_READERS
+)
 
 
 def _texts(value):
